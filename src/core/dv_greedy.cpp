@@ -12,6 +12,14 @@ namespace cvr::core {
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+/// Parallel-fill marker for a user that holds no heap entry.
+constexpr std::size_t kNoCandidate = std::numeric_limits<std::size_t>::max();
+
+/// True iff the user can be raised from q to q+1 without breaking its
+/// own B_n — the heap's admission test for a candidate entry.
+bool raisable(const UserSlotContext& user, QualityLevel q) {
+  return q < kNumQualityLevels && user_feasible(user, q + 1);
+}
 }  // namespace
 
 std::string_view DvGreedyAllocator::name() const {
@@ -135,16 +143,24 @@ void DvGreedyAllocator::greedy_pass(const SlotProblem& problem, Rank rank,
 void DvGreedyAllocator::greedy_pass_heap(const SlotProblem& problem, Rank rank,
                                          std::vector<QualityLevel>& q) {
   const std::size_t n_users = problem.user_count();
-  active_.assign(n_users, 1);
   double used_rate = seed_levels(problem, rank, q);
 
-  // Heap entries carry the level they were computed at; an entry whose
-  // level no longer matches the user's current level is stale (a fresh
-  // one was pushed after the increment) and is discarded on pop. Ties
-  // break toward the smaller index, matching the scan's first-strict-max.
-  // A manual push_heap/pop_heap over a recycled vector — the algorithms
-  // std::priority_queue is specified in terms of, so the pop order (and
-  // therefore the ascent) is identical.
+  // Only users whose next level passes their own B_n (constraint (7))
+  // ever hold an entry. The scan pops such a user only to revert and
+  // retire it, leaving the levels unchanged, or, at a negative score,
+  // to stop the pass — which the next entry in heap order, scoring no
+  // higher, does too (docs/performance.md, "The service slot at
+  // N ≈ 1400", has the full argument). Degrade-pinned and ramp-capped
+  // sessions sit at B_n = f(cap), so at service scale most users never
+  // enter the heap.
+  //
+  // Every user holds at most one entry, always scored at its current
+  // level: an entry is pushed at the fill or right after its user's
+  // previous entry was popped and applied, so no entry ever goes stale.
+  // Ties break toward the smaller index, matching the scan's
+  // first-strict-max; (score, user) keys are unique, so the pop order —
+  // and therefore the ascent — does not depend on the heap's layout.
+  // A manual push_heap/pop_heap over a recycled vector.
   const auto worse = [](const HeapEntry& a, const HeapEntry& b) {
     if (a.score != b.score) return a.score < b.score;
     return a.user > b.user;
@@ -153,8 +169,8 @@ void DvGreedyAllocator::greedy_pass_heap(const SlotProblem& problem, Rank rank,
   if (pool_ != nullptr && n_users >= parallel_min_users_) {
     // Parallel candidate fill: partition the users, let each range
     // score its own candidates into its own slice, then compact in
-    // index order. The candidate multiset (and therefore the heap and
-    // the ascent) is identical to the serial fill.
+    // index order. The candidate set (and therefore the heap and the
+    // ascent) is identical to the serial fill.
     heap_.resize(n_users);
     const std::size_t per_task =
         (n_users + pool_->size() - 1) / pool_->size();
@@ -162,25 +178,24 @@ void DvGreedyAllocator::greedy_pass_heap(const SlotProblem& problem, Rank rank,
     tasks.reserve((n_users + per_task - 1) / per_task);
     for (std::size_t begin = 0; begin < n_users; begin += per_task) {
       const std::size_t end = std::min(begin + per_task, n_users);
-      tasks.push_back(pool_->submit([this, &q, rank, begin, end] {
+      tasks.push_back(pool_->submit([this, &problem, &q, rank, begin, end] {
         for (std::size_t n = begin; n < end; ++n) {
-          heap_[n] = q[n] < kNumQualityLevels
-                         ? HeapEntry{rank_score(tables_[n], q[n], rank), n,
-                                     q[n]}
-                         : HeapEntry{0.0, n, 0};  // level 0 = no candidate
+          heap_[n] = raisable(problem.users[n], q[n])
+                         ? HeapEntry{rank_score(tables_[n], q[n], rank), n}
+                         : HeapEntry{0.0, kNoCandidate};
         }
       }));
     }
     for (auto& task : tasks) task.get();
     std::size_t kept = 0;
     for (std::size_t n = 0; n < n_users; ++n) {
-      if (heap_[n].level != 0) heap_[kept++] = heap_[n];
+      if (heap_[n].user != kNoCandidate) heap_[kept++] = heap_[n];
     }
     heap_.resize(kept);
   } else {
     for (std::size_t n = 0; n < n_users; ++n) {
-      if (q[n] < kNumQualityLevels) {
-        heap_.push_back({rank_score(tables_[n], q[n], rank), n, q[n]});
+      if (raisable(problem.users[n], q[n])) {
+        heap_.push_back({rank_score(tables_[n], q[n], rank), n});
       }
     }
   }
@@ -190,28 +205,25 @@ void DvGreedyAllocator::greedy_pass_heap(const SlotProblem& problem, Rank rank,
     std::pop_heap(heap_.begin(), heap_.end(), worse);
     const HeapEntry top = heap_.back();
     heap_.pop_back();
-    const std::size_t n = top.user;
-    if (!active_[n] || top.level != q[n]) continue;  // stale or dead
-    if (top.score < 0.0) break;  // max fresh score negative: stop all
+    if (top.score < 0.0) break;  // max score negative: stop all
 
+    // Constraint (7) for q+1 held when the entry was pushed; only the
+    // server budget (6) can still reject the increment.
+    const std::size_t n = top.user;
     const auto& user = problem.users[n];
     const double inc = user.rate[static_cast<std::size_t>(q[n])] -
                        user.rate[static_cast<std::size_t>(q[n] - 1)];
     q[n] += 1;
     used_rate += inc;
-    if (!user_feasible(user, q[n]) ||
-        used_rate > problem.server_bandwidth + kFeasibilityEpsilon) {
+    if (used_rate > problem.server_bandwidth + kFeasibilityEpsilon) {
       q[n] -= 1;
       used_rate -= inc;
-      active_[n] = 0;
-      continue;
+      continue;  // retired: the user holds no entry any more
     }
-    if (q[n] == kNumQualityLevels) {
-      active_[n] = 0;
-      continue;
+    if (raisable(user, q[n])) {
+      heap_.push_back({rank_score(tables_[n], q[n], rank), n});
+      std::push_heap(heap_.begin(), heap_.end(), worse);
     }
-    heap_.push_back({rank_score(tables_[n], q[n], rank), n, q[n]});
-    std::push_heap(heap_.begin(), heap_.end(), worse);
   }
 }
 

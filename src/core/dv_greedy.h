@@ -17,10 +17,14 @@
 // Complexity: the paper's plain argmax scan is O(N^2 L) per pass —
 // negligible at the paper's N <= 30 but quadratic pain at hundreds of
 // users. Because an increment changes only the chosen user's own
-// marginal (h_n depends only on user n's state), a lazy max-heap gives
-// the EXACT same ascent in O(N L log N); `Strategy::kHeap` is the
-// default, with the scan kept as the paper-literal reference and the
-// tests pinning bitwise-identical allocations between the two. The
+// marginal (h_n depends only on user n's state), a max-heap holding one
+// entry per raisable user gives the EXACT same ascent in
+// O(N + (K + I) log K), where K is the number of users whose next level
+// fits their own B_n (the only ones the heap ever holds — degrade-pinned
+// and ramp-capped sessions stay out) and I the number of increments;
+// `Strategy::kHeap` is the default, with the scan kept as the
+// paper-literal reference and the tests pinning bitwise-identical
+// allocations between the two. The
 // scan itself now keeps a dense per-user score array (one lane per
 // user, -inf marking deactivated users) and finds each argmax with
 // simd::argmax_first — same winner as the textbook forward scan, one
@@ -53,12 +57,12 @@ class DvGreedyAllocator final : public Allocator {
   /// keeps the first strict maximum of a forward scan (now evaluated
   /// by simd::argmax_first over the dense score array — same winner by
   /// construction); kHeap's comparator orders equal scores by index,
-  /// and stale entries are re-pushed before they can displace an
-  /// equally-scored fresh one. This contract is what makes the two
+  /// and each user holds at most one entry, always scored at its
+  /// current level. This contract is what makes the two
   /// strategies bit-identical — same levels, same objective — which the
   /// property `core.dv_scan_heap_identical` pins across 10k tie-heavy
   /// instances (duplicated users, quantized rates, boundary-exact
-  /// budgets). kHeap is the default: O(N L log N) vs the scan's
+  /// budgets). kHeap is the default: O(N + (K + I) log K) vs the scan's
   /// O(N^2 L), with the scan kept as the paper-literal reference
   /// implementation (registry name "dv-scan").
   enum class Strategy { kScan, kHeap };
@@ -161,13 +165,11 @@ class DvGreedyAllocator final : public Allocator {
   struct HeapEntry {
     double score;
     std::size_t user;
-    QualityLevel level;
   };
   HTableSet tables_;
   std::vector<QualityLevel> density_levels_;
   std::vector<QualityLevel> value_levels_;
   std::vector<QualityLevel> prev_levels_;  ///< Warm-start seed.
-  std::vector<char> active_;
   std::vector<double> scores_;  ///< Dense scan scores, -inf = inactive.
   simd::FirstMaxTracker scan_max_;  ///< Incremental argmax over scores_.
   std::vector<HeapEntry> heap_;

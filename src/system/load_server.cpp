@@ -17,16 +17,18 @@ namespace cvr::system {
 
 namespace {
 
-// p-th quantile of an unsorted sample set (nearest-rank on a sorted
-// copy). Deterministic; returns 0 on an empty set.
-double quantile(std::vector<double> samples, double p) {
+// p-th quantile of an unsorted sample set (nearest-rank), selected in
+// place: reorders `samples`. Returns the value a full sort would put at
+// that rank, so the result is deterministic; 0 on an empty set.
+double quantile(std::vector<double>& samples, double p) {
   if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
   const double rank = p * static_cast<double>(samples.size());
   std::size_t index = static_cast<std::size_t>(std::ceil(rank));
   index = index == 0 ? 0 : index - 1;
   if (index >= samples.size()) index = samples.size() - 1;
-  return samples[index];
+  const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(index);
+  std::nth_element(samples.begin(), nth, samples.end());
+  return *nth;
 }
 
 }  // namespace
@@ -123,7 +125,14 @@ LoadServiceReport LoadServer::run(std::size_t slots,
 
   std::vector<Session> active;
   active.reserve(config_.capacity_users);
-  std::deque<proto::Buffer> pending;  // framed ConnectRequests
+  // The accept queue: framed ConnectRequests, each with the stay the
+  // client intends. Durations are not part of the wire message (the
+  // server does not need to know how long a client intends to stay).
+  struct PendingConnect {
+    proto::Buffer frame;
+    std::size_t duration_slots = 0;
+  };
+  std::deque<PendingConnect> pending;
   std::vector<sim::SessionRequest> arrivals;
   core::SlotArena arena;
   core::Allocation allocation;
@@ -151,22 +160,20 @@ LoadServiceReport LoadServer::run(std::size_t slots,
         rng.uniform(1.0 - config_.user_bandwidth_jitter,
                     1.0 + config_.user_bandwidth_jitter);
     session.delta = rng.uniform(config_.delta_min, config_.delta_max);
-    session.rate_scale =
+    const double rate_scale =
         config_.rate_scale_sigma > 0.0
             ? std::exp(rng.normal(0.0, config_.rate_scale_sigma))
             : 1.0;
 
     const content::CrfRateFunction f(base_rate.base_mbps(), base_rate.growth(),
-                                     session.rate_scale);
+                                     rate_scale);
     double mandatory = 0.0;
-    for (const Session& s : active) {
-      mandatory += content::CrfRateFunction(base_rate.base_mbps(),
-                                            base_rate.growth(), s.rate_scale)
-                       .rate(1);
-    }
+    for (const Session& s : active) mandatory += s.rate[0];
     const core::UserSlotContext candidate =
         core::UserSlotContext::from_rate_function(f, session.user_bandwidth,
                                                   session.delta, 0.0, 1.0);
+    session.rate = candidate.rate;
+    session.delay = candidate.delay;
     const AdmissionDecision decision =
         admission.decide(candidate, mandatory, budget, active.size(),
                          config_.capacity_users, config_.params);
@@ -199,16 +206,8 @@ LoadServiceReport LoadServer::run(std::size_t slots,
         if (collector) collector->count(telemetry::Counter::kSessionsRejected);
         return;
     }
-    // The generator stamped the intended stay on the request id stream;
-    // recover it from the arrival record (durations ride in the pending
-    // entry alongside the frame — see the enqueue site).
     active.push_back(session);
   };
-
-  // Durations are not part of the wire message (the server does not need
-  // to know how long a client intends to stay); they travel next to the
-  // framed request in the accept queue.
-  std::deque<std::size_t> pending_durations;
 
   const auto enqueue_arrival = [&](const sim::SessionRequest& request,
                                    std::size_t t) {
@@ -224,8 +223,7 @@ LoadServiceReport LoadServer::run(std::size_t slots,
       if (collector) collector->count(telemetry::Counter::kSessionsRejected);
       return;
     }
-    pending.push_back(proto::encode(connect));
-    pending_durations.push_back(request.duration_slots);
+    pending.push_back({proto::encode(connect), request.duration_slots});
   };
 
   const auto serve_slot = [&](std::size_t t, bool in_window) {
@@ -238,21 +236,23 @@ LoadServiceReport LoadServer::run(std::size_t slots,
       problem.server_bandwidth = budget;
       problem.params = config_.params;
       for (std::size_t i = 0; i < active.size(); ++i) {
-        Session& s = active[i];
-        const content::CrfRateFunction f(base_rate.base_mbps(),
-                                         base_rate.growth(), s.rate_scale);
-        problem.users[i] = core::UserSlotContext::from_rate_function(
-            f, s.user_bandwidth, s.delta, s.qoe.mean_viewed_quality(),
-            static_cast<double>(s.age_slots + 1));
+        const Session& s = active[i];
+        // Every field is overwritten (the SlotArena recycling rule).
+        core::UserSlotContext& user = problem.users[i];
+        user.delta = s.delta;
+        user.qbar = s.qoe.mean_viewed_quality();
+        user.slot = static_cast<double>(s.age_slots + 1);
+        user.user_bandwidth = s.user_bandwidth;
+        user.rate = s.rate;
+        user.delay = s.delay;
+        user.frame_loss.clear();
         // Ramp / degrade cap through the constraint-(7) clamp: with B_n
         // held at f(cap), no allocator can select a level above the cap.
-        // The delay table above was built from the true B_n first, so
+        // The delay table was built from the true B_n at admission, so
         // capped levels keep their honest delay entries.
         const std::size_t cap = level_cap(s);
         if (cap < static_cast<std::size_t>(content::kNumQualityLevels)) {
-          problem.users[i].user_bandwidth =
-              std::min(problem.users[i].user_bandwidth,
-                       f.rate(static_cast<content::QualityLevel>(cap)));
+          user.user_bandwidth = std::min(user.user_bandwidth, s.rate[cap - 1]);
         }
       }
     }
@@ -270,10 +270,8 @@ LoadServiceReport LoadServer::run(std::size_t slots,
     demand.clear();
     double total_demand = 0.0;
     for (std::size_t i = 0; i < active.size(); ++i) {
-      const content::CrfRateFunction f(base_rate.base_mbps(),
-                                       base_rate.growth(),
-                                       active[i].rate_scale);
-      const double d = f.rate(allocation.levels[i]);
+      const double d =
+          active[i].rate[static_cast<std::size_t>(allocation.levels[i] - 1)];
       demand.push_back(d);
       total_demand += d;
     }
@@ -342,17 +340,15 @@ LoadServiceReport LoadServer::run(std::size_t slots,
       // connect_speed * kSlotSeconds admissions per slot (fractional
       // credit carries over), so a connection storm drains gradually.
       connect_credit += config_.traffic.connect_speed * kSlotSeconds;
-      while (connect_credit >= 1.0 && !pending.empty() &&
-             !pending_durations.empty()) {
-        const proto::Buffer frame = std::move(pending.front());
+      while (connect_credit >= 1.0 && !pending.empty()) {
+        const PendingConnect connect = std::move(pending.front());
         pending.pop_front();
-        const std::size_t duration = pending_durations.front();
-        pending_durations.pop_front();
         connect_credit -= 1.0;
         const std::size_t before = active.size();
-        decide_one(frame, t);
+        decide_one(connect.frame, t);
         if (active.size() > before) {
-          active.back().remaining_slots = std::max<std::size_t>(1, duration);
+          active.back().remaining_slots =
+              std::max<std::size_t>(1, connect.duration_slots);
         }
       }
       if (connect_credit >= 1.0) connect_credit = 1.0;  // no banked bursts
@@ -378,7 +374,6 @@ LoadServiceReport LoadServer::run(std::size_t slots,
   // Requests still queued when the horizon closes are refused.
   while (!pending.empty()) {
     pending.pop_front();
-    pending_durations.pop_front();
     ++report.rejected;
     if (collector) collector->count(telemetry::Counter::kSessionsRejected);
   }

@@ -44,6 +44,7 @@
 // SLO holds, and 0 when it does not — "users per server at the SLO".
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -168,7 +169,11 @@ class LoadServer {
     double qos_ms = 0.0;             ///< Per-slot delivery budget.
     double user_bandwidth = 0.0;     ///< Drawn B_n (Mbps).
     double delta = 0.0;              ///< Prediction-success probability.
-    double rate_scale = 1.0;         ///< Per-session rate-function scale.
+    /// f(q) and the M/M/1 delay at the true B_n, index q-1. Both are
+    /// fixed for the session's lifetime (rate scale and B_n are drawn
+    /// once at admission), so they are computed there, once.
+    std::array<double, core::kNumQualityLevels> rate{};
+    std::array<double, core::kNumQualityLevels> delay{};
     bool degrade_pinned = false;     ///< Degrade-admitted: level cap 1.
     core::UserQoeAccumulator qoe;
   };

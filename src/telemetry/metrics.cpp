@@ -56,8 +56,10 @@ double HistogramData::quantile(double p) const {
     if (counts[b] == 0) continue;
     const double lo_rank = static_cast<double>(seen);
     seen += counts[b];
-    const double hi_rank = static_cast<double>(seen - 1);
-    if (rank > hi_rank) continue;
+    // Bucket b owns the continuous ranks [lo_rank, seen): a rank between
+    // its last sample and the next bucket's first still interpolates
+    // here, so the estimate never steps backwards as p grows.
+    if (rank >= static_cast<double>(seen)) continue;
     // Bucket bounds: underflow starts at min, overflow ends at max; the
     // first/last *used* bounds are tightened by the exact min/max too.
     double lo = b == 0 ? min : edges[b - 1];
@@ -65,8 +67,8 @@ double HistogramData::quantile(double p) const {
     lo = std::max(lo, min);
     hi = std::min(hi, max);
     if (hi < lo) hi = lo;
-    if (hi_rank == lo_rank) return lo;
-    const double frac = (rank - lo_rank) / (hi_rank - lo_rank + 1.0);
+    if (counts[b] == 1) return lo;
+    const double frac = (rank - lo_rank) / static_cast<double>(counts[b]);
     return lo + frac * (hi - lo);
   }
   return max;

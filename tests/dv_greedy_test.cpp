@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "core_test_util.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 #include "src/core/optimal.h"
 
 namespace cvr::core {
@@ -259,6 +264,86 @@ TEST(DvGreedyHeap, IdenticalUnderTightBudgets) {
     EXPECT_EQ(scan.allocate(problem).levels, heap.allocate(problem).levels)
         << seed;
   }
+}
+
+// --- Service scale ----------------------------------------------------
+// The open-loop load service solves slots of ~1400 users, most of them
+// degrade-pinned or still ramping: their B_n is clamped to f(cap), so
+// the heap never admits them. These instances pin that shortcut against
+// the paper-literal scan at that scale (the property generator stops at
+// N <= 12).
+
+/// N users shaped like a LoadServer slot: delays from the true B_n,
+/// then `pinned_fraction` clamped to B_n = f(1), a further ~15% to a
+/// ramp cap f(2..5), the rest free. The server budget sits 15% above
+/// the all-ones minimum, so it binds.
+SlotProblem service_scale_problem(std::uint64_t seed, std::size_t n_users,
+                                  double pinned_fraction) {
+  cvr::Rng rng(seed);
+  SlotProblem problem;
+  problem.params = QoeParams{0.1, 0.5};
+  double mandatory = 0.0;
+  for (std::size_t n = 0; n < n_users; ++n) {
+    UserSlotContext user = make_crf_user(
+        rng.uniform(48.0, 72.0), rng.uniform(0.75, 0.98),
+        rng.uniform(1.0, 5.0), rng.uniform(1.0, 600.0),
+        std::exp(rng.normal(0.0, 0.1)));
+    const double draw = rng.uniform();
+    if (draw < pinned_fraction) {
+      user.user_bandwidth = user.rate[0];
+    } else if (draw < pinned_fraction + 0.15) {
+      const auto cap = static_cast<std::size_t>(rng.uniform_int(2, 5));
+      user.user_bandwidth = std::min(user.user_bandwidth, user.rate[cap - 1]);
+    }
+    mandatory += user.rate[0];
+    problem.users.push_back(user);
+  }
+  problem.server_bandwidth = 1.15 * mandatory;
+  return problem;
+}
+
+void expect_heap_matches_scan(const SlotProblem& problem,
+                              cvr::ThreadPool* pool) {
+  using Strategy = DvGreedyAllocator::Strategy;
+  for (auto mode : {DvGreedyAllocator::Mode::kDensityOnly,
+                    DvGreedyAllocator::Mode::kValueOnly,
+                    DvGreedyAllocator::Mode::kCombined}) {
+    DvGreedyAllocator scan(mode, Strategy::kScan);
+    DvGreedyAllocator heap(mode, Strategy::kHeap);
+    if (pool != nullptr) {
+      for (DvGreedyAllocator* dv : {&scan, &heap}) {
+        dv->set_thread_pool(pool);
+        dv->set_parallel_min_users(1);
+      }
+    }
+    const Allocation a = scan.allocate(problem);
+    const Allocation b = heap.allocate(problem);
+    EXPECT_EQ(a.levels, b.levels);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.objective),
+              std::bit_cast<std::uint64_t>(b.objective));
+  }
+}
+
+TEST(DvGreedyServiceScale, HeapMatchesScanWithMostUsersCapped) {
+  const SlotProblem problem = service_scale_problem(13, 2000, 0.7);
+  // The budget binds: the free ascent would spend more than B.
+  SlotProblem roomy = problem;
+  roomy.server_bandwidth = 1e12;
+  EXPECT_GT(total_rate(roomy, DvGreedyAllocator{}.allocate(roomy).levels),
+            problem.server_bandwidth);
+  expect_heap_matches_scan(problem, nullptr);
+  cvr::ThreadPool pool(3);
+  expect_heap_matches_scan(problem, &pool);
+}
+
+TEST(DvGreedyServiceScale, AllCappedInstanceStaysAllOnes) {
+  // Every user pinned at B_n = f(1): the heap starts empty.
+  const SlotProblem problem = service_scale_problem(14, 2000, 1.0);
+  const std::vector<QualityLevel> ones(problem.user_count(), 1);
+  EXPECT_EQ(DvGreedyAllocator{}.allocate(problem).levels, ones);
+  expect_heap_matches_scan(problem, nullptr);
+  cvr::ThreadPool pool(3);
+  expect_heap_matches_scan(problem, &pool);
 }
 
 // --- Warm-start ablation ("dv-warm") ---------------------------------

@@ -87,6 +87,53 @@ TEST(LoadServer, TelemetryDoesNotPerturbAndCountersMatch) {
   EXPECT_EQ(queue->second.count, report.horizon_slots);
 }
 
+// Golden values: the report of two fixed configs, pinned as hex-exact
+// doubles. Any change to the service loop's arithmetic — table reuse,
+// allocator shortcuts, quantile selection — must leave every bit here
+// untouched; the perf gate only sees the quantized svc_* counters.
+// The ramp (default 8 slots per level) caps most young sessions.
+TEST(LoadServerGolden, ExponentialLoadReportIsPinned) {
+  LoadServer server(small_config(0.8, sim::TrafficShape::kExponential));
+  const LoadServiceReport report = server.run(1500);
+  EXPECT_EQ(report.offered, 129u);
+  EXPECT_EQ(report.admitted, 107u);
+  EXPECT_EQ(report.degraded, 0u);
+  EXPECT_EQ(report.rejected, 22u);
+  EXPECT_EQ(report.completed_sessions, 107u);
+  EXPECT_EQ(report.delay_samples, 13173u);
+  EXPECT_EQ(report.deadline_misses, 0u);
+  EXPECT_EQ(report.drain_slots, 414u);
+  EXPECT_TRUE(report.slo_met);
+  EXPECT_EQ(report.p99_delay_ms, 0x1.899b7e83d1c8fp+1);
+  EXPECT_EQ(report.mean_delay_ms, 0x1.eeb9882c8c0dfp-1);
+  EXPECT_EQ(report.mean_session_qoe, 0x1.8e09f23fc2868p+0);
+  EXPECT_EQ(report.sustained_users, 0x1.2d18de5ab277fp+3);
+  EXPECT_EQ(report.reject_rate, 0x1.5d457515d4575p-3);
+}
+
+// Degrade-heavy: a squeezed budget pins most sessions at level 1.
+TEST(LoadServerGolden, DegradeHeavyReportIsPinned) {
+  LoadServiceConfig config = small_config(1.5);
+  config.capacity_users = 24;
+  config.server_bandwidth_mbps = 180.0;
+  LoadServer server(config);
+  const LoadServiceReport report = server.run(2500);
+  EXPECT_EQ(report.offered, 772u);
+  EXPECT_EQ(report.admitted, 24u);
+  EXPECT_EQ(report.degraded, 187u);
+  EXPECT_EQ(report.rejected, 561u);
+  EXPECT_EQ(report.completed_sessions, 211u);
+  EXPECT_EQ(report.delay_samples, 26127u);
+  EXPECT_EQ(report.deadline_misses, 0u);
+  EXPECT_EQ(report.drain_slots, 257u);
+  EXPECT_TRUE(report.slo_met);
+  EXPECT_EQ(report.p99_delay_ms, 0x1.0cb9ba29ceb7bp+0);
+  EXPECT_EQ(report.mean_delay_ms, 0x1.62f9c6ce79ddp-2);
+  EXPECT_EQ(report.mean_session_qoe, 0x1.b2b53bf0f3a0fp-1);
+  EXPECT_EQ(report.sustained_users, 0x1.5c5c28f5c28f6p+3);
+  EXPECT_EQ(report.reject_rate, 0x1.740feac6f6b71p-1);
+}
+
 TEST(LoadServer, LowLoadMeetsTheSloAndDrains) {
   const LoadServiceConfig config = small_config(0.25);
   LoadServer server(config);

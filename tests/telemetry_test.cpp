@@ -67,6 +67,25 @@ TEST(Metrics, HistogramQuantilesAreOrderedAndBounded) {
   EXPECT_NEAR(p50, 500.0, 300.0);
 }
 
+// A rank between one bucket's last sample and the next bucket's first
+// (here p = 0.6 -> rank 2.4, between buckets holding ranks 0-2 and 3-4)
+// must not interpolate backwards from the next bucket's lower edge.
+TEST(Metrics, HistogramQuantileIsMonotoneAcrossBucketGaps) {
+  HistogramData h;
+  h.edges = {1.0, 2.0, 4.0};
+  h.counts = {0, 3, 2, 0};
+  h.count = 5;
+  h.min = 1.0;
+  h.max = 3.5;
+  double previous = h.quantile(0.0);
+  for (int i = 1; i <= 100; ++i) {
+    const double p = i / 100.0;
+    const double q = h.quantile(p);
+    EXPECT_LE(previous, q) << "p = " << p;
+    previous = q;
+  }
+}
+
 TEST(Metrics, HistogramRejectsBadEdges) {
   MetricsRegistry registry;
   EXPECT_THROW(registry.histogram("empty", {}), std::invalid_argument);
