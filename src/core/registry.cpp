@@ -9,19 +9,13 @@
 namespace cvr::core {
 
 std::vector<std::string> allocator_names() {
-  return {"dv",      "dv-heap", "dv-scan", "dv-warm",    "density",
-          "value",   "firefly", "pavq",    "lagrangian", "optimal",
-          "dp"};
+  return {"dv",      "dv-scan", "dv-warm",    "density", "value",
+          "firefly", "pavq",    "lagrangian", "optimal", "dp"};
 }
 
 std::unique_ptr<Allocator> make_allocator(const std::string& name,
                                           AllocatorContext context) {
   if (name == "dv") return std::make_unique<DvGreedyAllocator>();
-  if (name == "dv-heap") {
-    return std::make_unique<DvGreedyAllocator>(
-        DvGreedyAllocator::Mode::kCombined,
-        DvGreedyAllocator::Strategy::kHeap);
-  }
   if (name == "dv-scan") {
     // The paper-literal O(N^2 L) argmax scan, kept as the differential
     // reference for the heap default (see dv_greedy.h).

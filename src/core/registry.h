@@ -24,9 +24,9 @@ enum class AllocatorContext {
 std::vector<std::string> allocator_names();
 
 /// Constructs the named allocator, or nullptr for an unknown name.
-/// Known names: "dv" (heap argmax, the default), "dv-heap" (explicit
-/// alias), "dv-scan" (the paper-literal O(N^2 L) scan, same results —
-/// the differential reference), "density", "value", "firefly", "pavq",
+/// Known names: "dv" (heap argmax, the default), "dv-scan" (the
+/// paper-literal O(N^2 L) scan, same results — the differential
+/// reference), "dv-warm", "density", "value", "firefly", "pavq",
 /// "lagrangian", "optimal" (brute force), "dp".
 std::unique_ptr<Allocator> make_allocator(
     const std::string& name,

@@ -6,13 +6,10 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "src/core/slot_arena.h"
 #include "src/proto/messages.h"
 #include "src/system/slot_pipeline.h"
-#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 namespace cvr::fleet {
@@ -32,7 +29,7 @@ void count_fleet(telemetry::Collector* telemetry, telemetry::Counter counter,
   if (telemetry != nullptr) telemetry->count(counter, delta);
 }
 
-/// The effective worker count for the per-server phases: the config
+/// The effective worker count for the per-server steps: the config
 /// knob, overridden by CVR_FLEET_THREADS when set to a parseable value
 /// (the CI forced-serial leg exports CVR_FLEET_THREADS=1 the same way
 /// CVR_FORCE_SCALAR forces the scalar SIMD backend).
@@ -73,8 +70,7 @@ FleetSim::FleetSim(FleetConfig config) : config_(std::move(config)) {
       throw std::invalid_argument("FleetConfig: planned migration out of range");
     }
   }
-  // Constructing the base sim validates the shared world config.
-  system::SystemSim probe(config_.base);
+  system::validate(config_.base);
 }
 
 FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
@@ -83,92 +79,16 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
   const system::SystemSimConfig& base = config_.base;
   const std::size_t n_users = base.users;
   const std::size_t n_servers = config_.servers;
-  allocator.reset();
-  if (telemetry != nullptr && !telemetry->counting()) telemetry = nullptr;
-  if (telemetry != nullptr && telemetry->tracing()) {
-    telemetry->label_process(telemetry::Collector::kServerPid, "server");
-    for (std::size_t u = 0; u < n_users; ++u) {
-      telemetry->label_process(telemetry::Collector::user_pid(u),
-                               "user " + std::to_string(u));
-    }
-  }
 
-  // Same derivation as SystemSim::run — the shared measurement RNG and
-  // the access network consume the exact stream SystemSim consumes.
-  cvr::SplitMix64 mixer(base.seed ^
-                        (0x5957E3Cull + repeat * 0x9E3779B97F4A7C15ull));
-  cvr::Rng rng(mixer.next());
-  system::AccessNetwork net =
-      system::build_access_network(base, repeat, rng);
-
-  const system::ServerConfig server_config =
-      system::derive_server_config(base);
-  std::vector<system::Server> servers;
-  servers.reserve(n_servers);
-  for (std::size_t k = 0; k < n_servers; ++k) {
-    // Every server carries slots for all users: a user's state lives at
-    // the same index wherever they are served, so migration is a state
-    // transfer, never a renumbering.
-    servers.emplace_back(server_config, n_users);
-  }
-  std::vector<system::UserWorld> worlds =
-      system::build_user_worlds(base, repeat);
-
-  const double total_budget =
-      config_.backhaul_mbps > 0.0
-          ? config_.backhaul_mbps
-          : base.router_aggregate_mbps * static_cast<double>(base.routers);
-
-  const HashRing ring(n_servers, config_.ring_vnodes, base.seed);
-  const system::AdmissionController admission(config_.admission);
-  const faults::FaultSchedule& faults = base.faults;
-
-  // Controller state.
-  std::vector<std::size_t> serving(n_users);
-  std::vector<std::size_t> home(n_users);
-  std::vector<std::size_t> user_migrations(n_users, 0);
-  std::vector<bool> orphan(n_users, false);
-  std::vector<bool> lost(n_users, false);
-  for (std::size_t u = 0; u < n_users; ++u) {
-    serving[u] = ring.owner(u);
-    home[u] = serving[u];
-  }
-  // Degrade ladder: level cap per user (kNumQualityLevels = no cap).
-  std::vector<core::QualityLevel> cap_level(n_users, core::kNumQualityLevels);
-  std::vector<std::size_t> cap_since(n_users, 0);
-  // Latest checkpoint per user, as wire bytes (decode exercises the
-  // codec on every failover). Empty until the first checkpoint.
-  std::vector<proto::Buffer> checkpoints(n_users);
-  std::vector<RetryEntry> retry_queue;
-
-  std::vector<bool> alive(n_servers, true);
-  std::vector<bool> partitioned(n_servers, false);
-  std::vector<double> budget(n_servers, 0.0);
-
-  FleetStats stats;
-  stats.per_server.resize(n_servers);
-  std::vector<double> budget_sum(n_servers, 0.0);
-  std::vector<double> util_sum(n_servers, 0.0);
-  std::vector<std::size_t> util_slots(n_servers, 0);
-  std::size_t reabsorb_slot_sum = 0;
-
-  // Per-server hot-path storage.
-  std::vector<core::SlotArena> arenas(n_servers);
-  std::vector<core::Allocation> allocations(n_servers);
-  std::vector<std::vector<std::size_t>> members(n_servers);
-  // Per-user handle back into the serving server's allocation.
-  std::vector<std::size_t> member_index(n_users, 0);
-  // Per-user tile requests, recycled across slots (index = user).
-  std::vector<system::TileRequest> requests(n_users);
-
-  // Across-server parallelism (docs/fleet.md): the per-server phases of
+  // Across-server parallelism (docs/fleet.md): the per-server steps of
   // a slot fan out onto a shared pool, one task per server, drained in
   // server-index order. Requires per-server allocator instances — a
   // stateless allocator is cloned once per server (each clone sees one
   // server's problem stream, exactly what the serial schedule feeds a
   // dedicated server). A stateful or unclonable allocator keeps the
   // serial schedule: its cross-slot state depends on the interleaved
-  // problem order only the serial loop reproduces.
+  // problem order only the serial loop reproduces. `pool` is declared
+  // before `clones`, so it outlives every allocator it is lent to.
   const std::size_t fleet_threads = resolve_fleet_threads(config_.threads);
   std::unique_ptr<cvr::ThreadPool> pool;
   std::vector<std::unique_ptr<core::Allocator>> clones;
@@ -190,22 +110,58 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
       clones.clear();
     }
   }
-  struct PoolDetach {
-    std::vector<std::unique_ptr<core::Allocator>>& clones;
-    ~PoolDetach() {
-      for (auto& clone : clones) {
-        if (clone != nullptr) clone->set_thread_pool(nullptr);
-      }
-    }
-  } pool_detach{clones};
 
-  system::SlotContext ctx;
-  ctx.config = &base;
-  ctx.unmargined = server_config.fov;
-  ctx.unmargined.margin_deg = 0.0;
-  ctx.telemetry = telemetry;
-  ctx.timeline = timeline;
-  ctx.rng = &rng;
+  // The serial schedule lends `allocator` the allocator_threads pool,
+  // exactly as SystemSim does; under the fan-out `allocator` solves
+  // nothing and the clones keep the fan-out pool.
+  system::SimRun run(base, repeat, allocator, /*lend_pool=*/pool == nullptr,
+                     timeline, telemetry);
+  telemetry = run.telemetry;
+
+  // Every server carries slots for all users: a user's state lives at
+  // the same index wherever they are served, so migration is a state
+  // transfer, never a renumbering.
+  std::vector<system::EdgeServer> edges;
+  edges.reserve(n_servers);
+  for (std::size_t k = 0; k < n_servers; ++k) {
+    edges.emplace_back(run.server_config, n_users);
+  }
+
+  const double total_budget =
+      config_.backhaul_mbps > 0.0
+          ? config_.backhaul_mbps
+          : base.router_aggregate_mbps * static_cast<double>(base.routers);
+
+  const HashRing ring(n_servers, config_.ring_vnodes, base.seed);
+  const system::AdmissionController admission(config_.admission);
+  const faults::FaultSchedule& faults = base.faults;
+
+  // Controller state. The degrade ladder's level caps live in run.cap
+  // (kNumQualityLevels = no cap), where the slot step reads them.
+  std::vector<std::size_t> serving(n_users);
+  std::vector<std::size_t> home(n_users);
+  std::vector<std::size_t> user_migrations(n_users, 0);
+  std::vector<bool> orphan(n_users, false);
+  std::vector<bool> lost(n_users, false);
+  for (std::size_t u = 0; u < n_users; ++u) {
+    serving[u] = ring.owner(u);
+    home[u] = serving[u];
+  }
+  std::vector<std::size_t> cap_since(n_users, 0);
+  // Latest checkpoint per user, as wire bytes (decode exercises the
+  // codec on every failover). Empty until the first checkpoint.
+  std::vector<proto::Buffer> checkpoints(n_users);
+  std::vector<RetryEntry> retry_queue;
+
+  std::vector<bool> alive(n_servers, true);
+  std::vector<bool> partitioned(n_servers, false);
+
+  FleetStats stats;
+  stats.per_server.resize(n_servers);
+  std::vector<double> budget_sum(n_servers, 0.0);
+  std::vector<double> util_sum(n_servers, 0.0);
+  std::vector<std::size_t> util_slots(n_servers, 0);
+  std::size_t reabsorb_slot_sum = 0;
 
   auto eligible_targets = [&] {
     std::vector<bool> eligible(n_servers);
@@ -228,24 +184,25 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
     const proto::UserHandoff frame =
         proto::decode_user_handoff(checkpoints[user]);
     const core::UserSlotContext candidate =
-        servers[target].candidate_context(frame, t + 1);
-    const double mandatory = servers[target].mandatory_load(members[target]);
-    const system::AdmissionDecision decision = admission.decide(
-        candidate, mandatory, budget[target], members[target].size(), n_users,
-        base.server.params);
+        edges[target].server.candidate_context(frame, t + 1);
+    const system::EdgeServer& edge = edges[target];
+    const double mandatory = edge.server.mandatory_load(edge.members);
+    const system::AdmissionDecision decision =
+        admission.decide(candidate, mandatory, edge.budget,
+                         edge.members.size(), n_users, base.server.params);
     if (decision == system::AdmissionDecision::kReject) {
       stats.rejects += 1;
       count_fleet(telemetry, telemetry::Counter::kFleetMigrationRejects);
       return false;
     }
-    servers[target].import_handoff(user, frame, t);
+    edges[target].server.import_handoff(user, frame, t);
     serving[user] = target;
     orphan[user] = false;
     user_migrations[user] += 1;
     stats.migrations += 1;
     count_fleet(telemetry, telemetry::Counter::kFleetMigrations);
     if (decision == system::AdmissionDecision::kDegrade) {
-      cap_level[user] = 1;
+      run.cap[user] = 1;
       cap_since[user] = t;
     }
     stats.reabsorbed_users += 1;
@@ -259,7 +216,7 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
     const std::int64_t slot = static_cast<std::int64_t>(t);
     telemetry::PhaseSpan slot_span(telemetry, telemetry::Phase::kSlot,
                                    telemetry::Collector::kServerPid, slot);
-    system::step_routers(net, faults, t);
+    system::step_routers(run.net, faults, t);
 
     // ---- Fleet control. All pure bookkeeping: no shared-RNG draws, so
     // the measurement stream stays aligned with SystemSim.
@@ -277,7 +234,7 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
       }
       const bool part = faults.server_partitioned(k, t);
       if (part && !partitioned[k]) {
-        partitioned[k] = true;  // budget[k] stays frozen at its last value
+        partitioned[k] = true;  // its budget stays frozen at its last value
       } else if (!part && partitioned[k]) {
         partitioned[k] = false;
       }
@@ -288,9 +245,9 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
     for (std::size_t k : crashed_now) {
       for (std::size_t u = 0; u < n_users; ++u) {
         if (serving[u] != k || orphan[u] || lost[u]) continue;
-        servers[k].reset_user(u);
+        edges[k].server.reset_user(u);
         orphan[u] = true;
-        cap_level[u] = core::kNumQualityLevels;
+        run.cap[u] = core::kNumQualityLevels;
         stats.affected_users += 1;
         RetryEntry entry;
         entry.user = u;
@@ -303,10 +260,10 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
     }
 
     // Current membership (needed for budgets and admission pricing).
-    for (auto& m : members) m.clear();
+    for (system::EdgeServer& edge : edges) edge.members.clear();
     for (std::size_t u = 0; u < n_users; ++u) {
       if (orphan[u] || lost[u]) continue;
-      members[serving[u]].push_back(u);
+      edges[serving[u]].members.push_back(u);
     }
 
     // Budget split across alive, unpartitioned servers; a partitioned
@@ -317,22 +274,23 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
       for (std::size_t k = 0; k < n_servers; ++k) {
         if (alive[k] && !partitioned[k]) {
           alive_unpart += 1;
-          alive_members += members[k].size();
+          alive_members += edges[k].members.size();
         }
       }
       for (std::size_t k = 0; k < n_servers; ++k) {
         if (!alive[k]) {
-          budget[k] = 0.0;
+          edges[k].budget = 0.0;
         } else if (partitioned[k]) {
           // frozen
         } else if (config_.budget == BudgetPolicy::kEqual) {
-          budget[k] = total_budget / static_cast<double>(alive_unpart);
+          edges[k].budget = total_budget / static_cast<double>(alive_unpart);
         } else {
-          budget[k] = alive_members == 0
-                          ? 0.0
-                          : total_budget *
-                                static_cast<double>(members[k].size()) /
-                                static_cast<double>(alive_members);
+          edges[k].budget =
+              alive_members == 0
+                  ? 0.0
+                  : total_budget *
+                        static_cast<double>(edges[k].members.size()) /
+                        static_cast<double>(alive_members);
         }
       }
     }
@@ -349,7 +307,7 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
           const std::size_t target = ring.backup(entry.user, eligible);
           entry.attempts = 1;
           if (try_readmit(entry.user, target, t, entry.crash_slot)) {
-            members[target].push_back(entry.user);
+            edges[target].members.push_back(entry.user);
             entry.next_due = base.slots;  // resolved; swept below
           } else {
             entry.next_due = t + retry_delay_slots(config_.backoff, base.seed,
@@ -383,7 +341,7 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
         const std::size_t target = ring.owner(entry.user, eligible);
         entry.attempts += 1;
         if (try_readmit(entry.user, target, t, entry.crash_slot)) {
-          members[target].push_back(entry.user);
+          edges[target].members.push_back(entry.user);
         } else {
           entry.next_due = t + retry_delay_slots(config_.backoff, base.seed,
                                                  entry.user, entry.attempts);
@@ -408,16 +366,16 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
         continue;
       }
       const proto::UserHandoff frame = proto::decode_user_handoff(
-          proto::encode(servers[from].export_handoff(pm.user, t)));
+          proto::encode(edges[from].server.export_handoff(pm.user, t)));
       stats.handoff_frames += 1;
       count_fleet(telemetry, telemetry::Counter::kFleetHandoffFrames);
-      servers[pm.to_server].import_handoff(pm.user, frame, t);
-      servers[from].reset_user(pm.user);
-      auto& old_members = members[from];
+      edges[pm.to_server].server.import_handoff(pm.user, frame, t);
+      edges[from].server.reset_user(pm.user);
+      auto& old_members = edges[from].members;
       old_members.erase(
           std::remove(old_members.begin(), old_members.end(), pm.user),
           old_members.end());
-      members[pm.to_server].push_back(pm.user);
+      edges[pm.to_server].members.push_back(pm.user);
       serving[pm.user] = pm.to_server;
       user_migrations[pm.user] += 1;
       stats.migrations += 1;
@@ -426,12 +384,13 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
 
     // Degrade-ladder release: the cap rises one level per ramp period.
     for (std::size_t u = 0; u < n_users; ++u) {
-      if (cap_level[u] >= core::kNumQualityLevels) continue;
-      const std::size_t risen = (t - cap_since[u]) / config_.ramp_slots_per_level;
+      if (run.cap[u] >= core::kNumQualityLevels) continue;
+      const std::size_t risen =
+          (t - cap_since[u]) / config_.ramp_slots_per_level;
       const std::size_t cap = 1 + risen;
-      cap_level[u] = cap >= static_cast<std::size_t>(core::kNumQualityLevels)
-                         ? core::kNumQualityLevels
-                         : static_cast<core::QualityLevel>(cap);
+      run.cap[u] = cap >= static_cast<std::size_t>(core::kNumQualityLevels)
+                       ? core::kNumQualityLevels
+                       : static_cast<core::QualityLevel>(cap);
     }
 
     // Periodic checkpoints (fleets only): every user's carried state is
@@ -440,147 +399,47 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
       for (std::size_t u = 0; u < n_users; ++u) {
         if (orphan[u] || lost[u] || !alive[serving[u]]) continue;
         checkpoints[u] =
-            proto::encode(servers[serving[u]].export_handoff(u, t));
+            proto::encode(edges[serving[u]].server.export_handoff(u, t));
         stats.handoff_frames += 1;
         count_fleet(telemetry, telemetry::Counter::kFleetHandoffFrames);
       }
     }
 
-    // ---- From here on the slot follows SystemSim::run exactly, with
-    // "the server" resolved per user through the assignment.
     if (faults.cache_flush_at(t)) {
       for (std::size_t k = 0; k < n_servers; ++k) {
-        if (alive[k]) servers[k].flush_caches();
+        if (alive[k]) edges[k].server.flush_caches();
       }
     }
 
-    // ---- Per-server phases: pose ingest, problem build, solve, tile
-    // requests, rendering. Every write below is owned by exactly one
-    // server — its own Server state, arena, allocation, its members'
-    // member_index/requests lanes, its per_server stats row — and the
-    // only shared sinks are telemetry counters (integer sums, order-
-    // independent). No shared-RNG draw happens anywhere in here, which
-    // is what makes the fan-out bit-identical to the serial schedule
-    // (docs/fleet.md; pinned by the ParallelFleet tests).
-    const bool ingest_slot = t >= 1 && (t - 1) % base.pose_upload_period == 0;
+    // ---- Per-server steps. Every write in a step is owned by exactly
+    // one server — its own EdgeServer, its members' lanes in `run`, its
+    // per_server stats row — and the only shared sinks are telemetry
+    // counters (integer sums, order-independent). No shared-RNG draw
+    // happens in a step, which is what makes the fan-out bit-identical
+    // to the serial schedule (docs/fleet.md; pinned by ParallelFleet).
     // Orphaned/lost users have no serving server: an idle request at
-    // the mandatory floor, written by the coordinator so the per-server
-    // tasks only ever touch their own members' lanes.
+    // the mandatory floor, written here so a step only ever touches its
+    // own members' lanes.
     for (std::size_t u = 0; u < n_users; ++u) {
-      if (orphan[u] || lost[u]) requests[u] = system::TileRequest{};
+      if (orphan[u] || lost[u]) run.requests[u] = system::TileRequest{};
     }
-
-    const auto run_server_slot = [&](std::size_t k, core::Allocator& alloc) {
-      if (ingest_slot) {
-        telemetry::PhaseSpan ingest_span(telemetry,
-                                         telemetry::Phase::kPoseIngest,
-                                         telemetry::Collector::kServerPid,
-                                         slot);
-        for (std::size_t u : members[k]) {
-          if (faults.user_disconnected(u, t) || faults.pose_blackout(u, t)) {
-            continue;
-          }
-          system::upload_pose(servers[k], worlds[u], u, t, telemetry);
-        }
-      }
-      if (!alive[k] || members[k].empty()) {
-        allocations[k].levels.clear();
-        return;
-      }
-      servers[k].set_server_bandwidth(budget[k]);
-      core::SlotProblem& problem = arenas[k].acquire(members[k].size());
-      {
-        telemetry::PhaseSpan build_span(telemetry,
-                                        telemetry::Phase::kProblemBuild,
-                                        telemetry::Collector::kServerPid,
-                                        slot);
-        servers[k].build_problem_for(t + 1, members[k], problem);
-      }
-      // Fleet-owned degrade caps ride constraint (7), the same clamp
-      // safe mode uses: cap the user bandwidth at the capped level's
-      // rate so no allocator can exceed it.
-      for (std::size_t i = 0; i < members[k].size(); ++i) {
-        const core::QualityLevel cap = cap_level[members[k][i]];
-        if (cap < core::kNumQualityLevels) {
-          core::UserSlotContext& uctx = problem.users[i];
-          uctx.user_bandwidth =
-              std::min(uctx.user_bandwidth,
-                       uctx.rate[static_cast<std::size_t>(cap - 1)]);
-        }
-      }
-      {
-        telemetry::PhaseSpan solve_span(telemetry,
-                                        telemetry::Phase::kAllocSolve,
-                                        telemetry::Collector::kServerPid,
-                                        slot);
-        alloc.allocate_into(problem, allocations[k]);
-      }
-      if (allocations[k].levels.size() != members[k].size()) {
-        throw std::logic_error("allocator returned wrong level count");
-      }
-      if (telemetry != nullptr) {
-        telemetry->count_allocation(allocations[k].levels);
-      }
-      for (std::size_t i = 0; i < members[k].size(); ++i) {
-        member_index[members[k][i]] = i;
-      }
+    const auto server_task = [&](std::size_t k, core::Allocator& alloc) {
+      system::EdgeServer& edge = edges[k];
+      budget_sum[k] += edge.budget;
+      system::step_server(run, edge, alloc, t);
+      if (edge.members.empty()) return;
       // Per-server accounting: allocated load vs the slot's budget.
-      stats.per_server[k].served_user_slots += members[k].size();
-      if (budget[k] > 0.0) {
+      stats.per_server[k].served_user_slots += edge.members.size();
+      if (edge.budget > 0.0) {
+        const core::SlotProblem& problem = edge.arena.problem();
         double allocated = 0.0;
-        for (std::size_t i = 0; i < members[k].size(); ++i) {
-          const auto level = allocations[k].levels[i];
+        for (std::size_t i = 0; i < edge.members.size(); ++i) {
+          const auto level = edge.allocation.levels[i];
           allocated +=
               problem.users[i].rate[static_cast<std::size_t>(level - 1)];
         }
-        util_sum[k] += allocated / budget[k];
+        util_sum[k] += allocated / edge.budget;
         util_slots[k] += 1;
-      }
-      // Tile requests for this server's members. members[k] order may
-      // differ from global user order after mid-slot re-admissions, but
-      // make_request only touches user u's own server-side state (plus
-      // order-independent memo/telemetry), so the visit order within a
-      // server does not affect any result.
-      {
-        telemetry::PhaseSpan fetch_span(telemetry,
-                                        telemetry::Phase::kContentFetch,
-                                        telemetry::Collector::kServerPid,
-                                        slot);
-        for (std::size_t u : members[k]) {
-          const core::QualityLevel level =
-              allocations[k].levels[member_index[u]];
-          if (faults.user_disconnected(u, t)) {
-            // No device on the network: nothing to request, zero
-            // demand, and the server's per-user caches stay untouched.
-            requests[u] = system::TileRequest{};
-            requests[u].level = level;
-            continue;
-          }
-          requests[u] = servers[k].make_request(u, level);
-          if (telemetry != nullptr) {
-            telemetry->count(telemetry::Counter::kTilesRequested,
-                             requests[u].tiles.size());
-          }
-        }
-      }
-      // Online rendering: one farm per edge server over its members.
-      if (base.online_rendering) {
-        const render::RenderFarm farm(base.render_farm);
-        std::vector<render::RenderJob> jobs;
-        jobs.reserve(members[k].size());
-        for (std::size_t u : members[k]) {
-          jobs.push_back({u, requests[u].tiles.size(),
-                          allocations[k].levels[member_index[u]]});
-        }
-        const render::RenderOutcome rendered = farm.schedule(jobs);
-        for (std::size_t i = 0; i < members[k].size(); ++i) {
-          if (!rendered.on_time[i]) {
-            const std::size_t u = members[k][i];
-            requests[u].tiles.clear();
-            requests[u].fallback_set.clear();
-            requests[u].demand_mbps = 0.0;
-          }
-        }
       }
     };
 
@@ -590,65 +449,37 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
       std::vector<std::future<void>> tasks;
       tasks.reserve(n_servers);
       for (std::size_t k = 0; k < n_servers; ++k) {
-        tasks.push_back(
-            pool->submit([&run_server_slot, &clones, k] {
-              run_server_slot(k, *clones[k]);
-            }));
+        tasks.push_back(pool->submit(
+            [&server_task, &clones, k] { server_task(k, *clones[k]); }));
       }
       for (auto& task : tasks) task.get();
     } else {
-      for (std::size_t k = 0; k < n_servers; ++k) {
-        run_server_slot(k, allocator);
-      }
+      for (std::size_t k = 0; k < n_servers; ++k) server_task(k, allocator);
     }
-    for (std::size_t k = 0; k < n_servers; ++k) budget_sum[k] += budget[k];
 
     const std::vector<double> granted =
-        system::serve_routers(net, requests, telemetry, slot);
+        system::serve_routers(run.net, run.requests, telemetry, slot);
 
     // Outcomes in global user order — the shared measurement RNG is
     // consumed per served user exactly as in SystemSim.
     for (std::size_t u = 0; u < n_users; ++u) {
-      system::UserWorld& world = worlds[u];
       if (orphan[u] || lost[u]) {
         // Orphaned by a crash: level-1 bookkeeping, zero display, a
         // fault slot for recovery accounting. No RNG draw.
         count_fleet(telemetry, telemetry::Counter::kFleetOrphanUserSlots);
-        system::serve_absent_user(ctx, u, t, world, 1, 0.0, 0.0);
+        system::serve_absent_user(run, u, t, 1, 0.0, 0.0);
         continue;
       }
-      ctx.server = &servers[serving[u]];
-      const core::SlotProblem& problem =
-          arenas[serving[u]].problem();
-      const core::QualityLevel level =
-          allocations[serving[u]].levels[member_index[u]];
-      const double delta_estimate = problem.users[member_index[u]].delta;
-      const double bandwidth_estimate =
-          problem.users[member_index[u]].user_bandwidth;
-      if (faults.user_disconnected(u, t)) {
-        system::serve_absent_user(ctx, u, t, world, level, delta_estimate,
-                                  bandwidth_estimate);
-        continue;
-      }
-      const bool ack_stalled = faults.ack_stalled(u, t);
-      const bool in_fault =
-          faults.any_fault_for_user(u, net.router_of[u], t);
-      system::serve_connected_user(
-          ctx, u, t, world, requests[u], level, granted[u],
-          system::router_capacity_for(net, u), ack_stalled, in_fault,
-          delta_estimate, bandwidth_estimate);
+      system::serve_member(run, edges[serving[u]], u, t, granted[u]);
     }
     if (telemetry != nullptr) telemetry->count(telemetry::Counter::kSlots);
   }
 
   FleetRunResult result;
-  result.outcomes.reserve(n_users);
+  result.outcomes = run.finalize();
   for (std::size_t u = 0; u < n_users; ++u) {
-    sim::UserOutcome outcome =
-        system::finalize_user_outcome(worlds[u], base);
-    outcome.home_server = static_cast<double>(home[u]);
-    outcome.migrations = static_cast<double>(user_migrations[u]);
-    result.outcomes.push_back(outcome);
+    result.outcomes[u].home_server = static_cast<double>(home[u]);
+    result.outcomes[u].migrations = static_cast<double>(user_migrations[u]);
   }
   for (std::size_t k = 0; k < n_servers; ++k) {
     stats.per_server[k].mean_budget_mbps =

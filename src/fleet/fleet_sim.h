@@ -28,9 +28,10 @@
 // Determinism: the run is a pure function of (config, seed, repeat) —
 // assignment, checkpoints, backoff jitter and admission are all
 // deterministic, and the shared measurement RNG is consumed in exactly
-// the order SystemSim consumes it. A K=1 fleet with an empty schedule
-// is bit-identical to system::SystemSim (guard-tested), because both
-// compose the same system::slot_pipeline helpers in the same order.
+// the order SystemSim consumes it. Each server's slot is the same
+// system::step_server SystemSim runs (src/system/slot_pipeline.h), so a
+// K=1 fleet with an empty schedule is bit-identical to SystemSim
+// (FleetK1.* in tests/fleet_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -98,15 +99,17 @@ struct FleetConfig {
   std::size_t ramp_slots_per_level = 33;
   std::vector<PlannedMigration> planned_migrations;
   /// Across-server slot parallelism (docs/fleet.md): worker count for
-  /// the per-server phases (pose ingest, problem build, solve, tile
-  /// requests, rendering). 1 = serial reference schedule; 0 = all
-  /// hardware threads; n > 1 = a pool of n workers. Requires a
-  /// stateless(), clone()able allocator — otherwise the run silently
-  /// falls back to serial. Results are bit-identical across all values
-  /// (the global phases — fleet control, budget split, router service,
-  /// the RNG-consuming serve loop — always run on the coordinating
-  /// thread). The CVR_FLEET_THREADS env var overrides this when set
-  /// (CI's forced-serial leg, mirroring CVR_FORCE_SCALAR).
+  /// the per-server steps (system::step_server: pose ingest, problem
+  /// build, solve, tile requests, rendering). 1 = serial reference
+  /// schedule; 0 = all hardware threads; n > 1 = a pool of n workers.
+  /// Requires a stateless(), clone()able allocator — otherwise the run
+  /// silently falls back to serial. Results are bit-identical across
+  /// all values (the global phases — fleet control, budget split, router
+  /// service, the RNG-consuming serve loop — always run on the
+  /// coordinating thread). The CVR_FLEET_THREADS env var overrides this
+  /// when set (CI's forced-serial leg, mirroring CVR_FORCE_SCALAR).
+  /// base.allocator_threads applies on the serial schedule only; under
+  /// the fan-out the per-server clones use this pool instead.
   std::size_t threads = 1;
 };
 
@@ -146,7 +149,8 @@ class FleetSim {
  public:
   /// Validates the config (throws std::invalid_argument on zero
   /// servers/vnodes/checkpoint period, a negative backhaul, an invalid
-  /// backoff policy, or a planned migration out of range).
+  /// backoff policy, a planned migration out of range, or a base config
+  /// that system::validate rejects).
   explicit FleetSim(FleetConfig config);
 
   /// Runs one repeat. Deterministic in (config, repeat): outcomes,

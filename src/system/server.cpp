@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 
 #include "src/net/mm1.h"
@@ -149,8 +150,10 @@ content::GridCell Server::clamped_cell(double x, double y) const {
 }
 
 core::SlotProblem Server::build_problem(std::size_t t) {
+  std::vector<std::size_t> everyone(users_.size());
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
   core::SlotProblem problem;
-  build_problem_into(t, problem);
+  build_problem_for(t, everyone, problem);
   return problem;
 }
 
@@ -242,16 +245,6 @@ void Server::fill_user_context(std::size_t t, std::size_t u,
                              config_.rtp_packet_bits;
       ctx.frame_loss.push_back(user.loss.frame_loss(util, packets));
     }
-  }
-}
-
-void Server::build_problem_into(std::size_t t, core::SlotProblem& out) {
-  clock_ = t;
-  out.params = config_.params;
-  out.server_bandwidth = config_.server_bandwidth_mbps;
-  out.users.resize(users_.size());
-  for (std::size_t u = 0; u < users_.size(); ++u) {
-    fill_user_context(t, u, out.users[u]);
   }
 }
 

@@ -182,27 +182,22 @@ class Server {
                        const std::vector<content::VideoId>& acks);
 
   /// Builds the slot problem for slot `t` (1-based) from current
-  /// estimates. Delay tables come from each user's polynomial delay
-  /// predictor (M/M/1 analytic fallback until trained).
-  core::SlotProblem build_problem(std::size_t t);
-
-  /// Same, into recycled storage: `out.users` is resized (capacity
-  /// retained) and every field overwritten, so the per-slot build is
-  /// allocation-free in steady state. The sim loop feeds it a
-  /// SlotArena's problem (see src/core/slot_arena.h).
-  void build_problem_into(std::size_t t, core::SlotProblem& out);
-
-  /// Fleet variant (fleet::FleetSim, docs/fleet.md): builds the slot
-  /// problem over an explicit member list instead of every user —
-  /// out.users[i] describes members[i]. Per-user computation is shared
-  /// with build_problem_into, so a full member list produces the
-  /// identical problem. Only listed users advance their watchdog state
-  /// this slot.
+  /// estimates over the listed members — out.users[i] describes
+  /// members[i]. Delay tables come from each user's polynomial delay
+  /// predictor (M/M/1 analytic fallback until trained). Only listed
+  /// users advance their watchdog state this slot. `out.users` is
+  /// resized (capacity retained) and every field overwritten, so the
+  /// per-slot build is allocation-free in steady state; the slot step
+  /// feeds it a SlotArena's problem (see src/core/slot_arena.h).
   void build_problem_for(std::size_t t, const std::vector<std::size_t>& members,
                          core::SlotProblem& out);
 
+  /// Test convenience: build_problem_for over every user, into a fresh
+  /// problem.
+  core::SlotProblem build_problem(std::size_t t);
+
   /// Fleet budget hook: replaces the server bandwidth B that
-  /// build_problem* stamps on the slot problem (constraint (6)). The
+  /// build_problem_for stamps on the slot problem (constraint (6)). The
   /// controller calls this each slot with the server's share of the
   /// backhaul budget.
   void set_server_bandwidth(double mbps);
@@ -258,7 +253,7 @@ class Server {
   void flush_caches();
 
   /// Whether user `u` is currently degraded by a watchdog (as of the
-  /// last build_problem call).
+  /// last build_problem_for call).
   bool in_safe_mode(std::size_t u) const;
   /// Total slots user `u` has spent in safe mode (diagnostic).
   std::size_t safe_mode_slots(std::size_t u) const;
@@ -309,7 +304,7 @@ class Server {
   };
 
   content::GridCell clamped_cell(double x, double y) const;
-  /// Shared per-user body of build_problem_into / build_problem_for.
+  /// Per-user body of build_problem_for.
   void fill_user_context(std::size_t t, std::size_t u,
                          core::UserSlotContext& ctx);
 
@@ -321,10 +316,10 @@ class Server {
   content::ContentDb content_db_;
   std::vector<UserState> users_;
   /// Per-user HEVC frame-size processes (empty when hevc.enabled is
-  /// off). Stepped once per build_problem* call that covers the user.
+  /// off). Stepped once per build_problem_for call that covers the user.
   std::vector<content::HevcFrameProcess> hevc_;
-  /// Latest slot seen by build_problem — the watchdogs' clock. Feedback
-  /// callbacks stamp last_feedback_slot with it.
+  /// Latest slot seen by build_problem_for — the watchdogs' clock.
+  /// Feedback callbacks stamp last_feedback_slot with it.
   std::size_t clock_ = 0;
 };
 

@@ -1,27 +1,26 @@
-// The per-slot machinery shared by system::SystemSim (one server) and
-// fleet::FleetSim (K servers behind a controller; docs/fleet.md).
-//
-// SystemSim::run was one long loop; the fleet refactor splits it into
-// reusable pieces — world construction, the access network, and the
-// per-user serve/feedback path — WITHOUT changing a single operation or
-// its order. SystemSim::run is now a thin composition of these helpers
-// and stays bit-identical to the pre-refactor loop (guarded by the
-// fleet_k1_identity test); FleetSim composes the same helpers per
-// serving server, which is what makes "a K=1 fleet with an empty
-// schedule is bit-identical to SystemSim" provable rather than hoped.
+// The slot engine shared by system::SystemSim (one edge server) and
+// fleet::FleetSim (K edge servers behind a controller; docs/fleet.md).
+// Both run a slot as step_server per edge server, serve_routers, then
+// serve_member per served user, around the per-repeat state in SimRun.
+// SystemSim steps one EdgeServer that serves every user uncapped; the
+// fleet steps K of them, serially or fanned out. So a K=1 fleet with an
+// empty fault schedule is bit-identical to SystemSim (FleetK1.* in
+// tests/fleet_test.cpp), and tests/slot_golden_test.cpp pins both.
 //
 // Layering: the access network (routers, throttles) is keyed by user
 // and does not move when a user migrates between edge servers — the
 // radio link is where the user is, the compute is wherever the fleet
-// controller says. Only the serving Server changes hands.
+// controller says. Only the serving EdgeServer changes hands.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/core/allocator.h"
 #include "src/core/qoe.h"
+#include "src/core/slot_arena.h"
 #include "src/faults/recovery.h"
 #include "src/net/ack_channel.h"
 #include "src/net/rtp_transport.h"
@@ -33,6 +32,7 @@
 #include "src/system/timeline.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace cvr::system {
 
@@ -60,40 +60,80 @@ struct AccessNetwork {
   std::vector<net::Router> routers;
 };
 
-/// The single-server config derived from a sim config: nominal
-/// aggregate bandwidth across all routers, pose-staleness threshold
-/// kept clear of the upload period.
-ServerConfig derive_server_config(const SystemSimConfig& config);
-
 /// Builds every user's world for one repeat — deterministic in
 /// (config.seed, repeat) and independent of server topology.
 std::vector<UserWorld> build_user_worlds(const SystemSimConfig& config,
                                          std::size_t repeat);
 
-/// Draws per-user TC throttles from `rng` (the shared measurement RNG —
-/// these are its first draws of the repeat), assigns users to routers,
-/// and constructs the routers with their per-repeat seeds.
-AccessNetwork build_access_network(const SystemSimConfig& config,
-                                   std::size_t repeat, cvr::Rng& rng);
+/// One repeat of a run, before and after its slots. Construction resets
+/// the allocator, labels the trace processes, derives the shared
+/// measurement RNG from (config.seed, repeat), draws the access network
+/// from it, builds the user worlds, and — when `lend_pool` is set —
+/// lends the allocator its within-slot thread pool: one of
+/// config.allocator_threads workers, or none (serial) when that is 0.
+/// The allocator is detached again on destruction.
+class SimRun {
+ public:
+  SimRun(const SystemSimConfig& config, std::size_t repeat,
+         core::Allocator& allocator, bool lend_pool, Timeline* timeline,
+         telemetry::Collector* collector);
+  ~SimRun();
 
-/// Read-only bundle threaded through the per-user serve path.
-struct SlotContext {
-  const SystemSimConfig* config = nullptr;
-  Server* server = nullptr;  ///< The server serving this user this slot.
-  motion::FovSpec unmargined; ///< Ground-truth FoV (margin stripped).
-  telemetry::Collector* telemetry = nullptr;
-  Timeline* timeline = nullptr;
-  cvr::Rng* rng = nullptr;   ///< Shared measurement-noise stream.
+  /// Folds every user's world into its sim::UserOutcome (QoE, hit rate,
+  /// FPS, recovery accounting), in user order.
+  std::vector<sim::UserOutcome> finalize();
+
+  const SystemSimConfig& config;
+  /// `collector`, or nullptr when it does not count.
+  telemetry::Collector* telemetry;
+  Timeline* timeline;
+  const ServerConfig server_config;  ///< Every edge server's config.
+  motion::FovSpec unmargined;  ///< Ground-truth FoV (margin stripped).
+  cvr::Rng rng;                ///< Shared measurement-noise stream.
+  AccessNetwork net;
+  std::vector<UserWorld> worlds;
+  // User-indexed lanes. step_server writes only its own members'
+  // entries, so steps of distinct servers never write the same one.
+  /// Constraint-(7) level cap per user; kNumQualityLevels = no cap.
+  std::vector<core::QualityLevel> cap;
+  /// Each served user's index into its server's problem and allocation.
+  std::vector<std::size_t> member_index;
+  /// This slot's tile request per user.
+  std::vector<TileRequest> requests;
+
+ private:
+  core::Allocator* borrower_;  ///< The allocator lent pool_, if any.
+  std::unique_ptr<cvr::ThreadPool> pool_;
+};
+
+/// One edge server and its per-slot working storage: the arena recycles
+/// the SlotProblem the server builds into and the allocation keeps its
+/// levels capacity, so the estimate -> allocate hot path stays
+/// heap-allocation-free in steady state (see src/core/slot_arena.h).
+struct EdgeServer {
+  EdgeServer(const ServerConfig& config, std::size_t users)
+      : server(config, users) {}
+
+  Server server;
+  core::SlotArena arena;
+  core::Allocation allocation;
+  /// The users this server serves this slot, in problem order.
+  std::vector<std::size_t> members;
+  double budget = 0.0;  ///< This slot's server bandwidth B (constraint (6)).
 };
 
 /// Applies the slot's router fault multipliers and steps every router.
 void step_routers(AccessNetwork& net, const faults::FaultSchedule& faults,
                   std::size_t t);
 
-/// One pose upload over the wire format (encode -> decode -> on_pose),
-/// for the pose user `u` reported at slot t-1.
-void upload_pose(Server& server, const UserWorld& world, std::size_t u,
-                 std::size_t t, telemetry::Collector* telemetry);
+/// One edge server's slot t: pose ingest for its members (on upload
+/// slots), the budget, the problem build, the members' level caps,
+/// `allocator`'s solve, each member's tile request (an idle one for a
+/// disconnected user) and, with online rendering, the render farm.
+/// Writes run.member_index and run.requests for the members only and
+/// draws nothing from run.rng. A server with no members solves nothing.
+void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
+                 std::size_t t);
 
 /// Router service for the slot: per-router demand gather, serve, and
 /// grant scatter back to user indexing.
@@ -102,33 +142,23 @@ std::vector<double> serve_routers(AccessNetwork& net,
                                   telemetry::Collector* telemetry,
                                   std::int64_t slot);
 
-/// The live per-user capacity of the router serving `u`.
-double router_capacity_for(const AccessNetwork& net, std::size_t u);
+/// Serves member `u` of `edge` its slot t, given the router's grant. A
+/// disconnected user goes through serve_absent_user. A connected one
+/// takes the full path: realized delay, RTP transmission, ground-truth
+/// coverage, decode, footnote-1 fallback, QoE + recovery accounting,
+/// and the feedback channels back to the server unless its ACK channel
+/// is stalled — in which case it draws nothing from run.rng; otherwise
+/// it draws exactly once (the bandwidth measurement's noise).
+void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
+                  double granted);
 
 /// The slot outcome of a user who is off the network (disconnected
 /// fault) or orphaned by a crashed edge server: nothing delivered,
 /// nothing displayed, no feedback; the chosen level still enters the
 /// level average with zero displayed quality and the missed frame
 /// depresses FPS naturally. Always counts as a fault slot.
-void serve_absent_user(const SlotContext& ctx, std::size_t u, std::size_t t,
-                       UserWorld& world, core::QualityLevel level,
-                       double delta_estimate, double bandwidth_estimate);
-
-/// The full serve/display/feedback path of one connected user for one
-/// slot: realized delay, RTP transmission, ground-truth coverage,
-/// decode, footnote-1 fallback, QoE + recovery accounting, and the
-/// feedback channels back to the serving server (unless ack-stalled).
-/// Consumes exactly one draw from ctx.rng when not ack-stalled (the
-/// bandwidth measurement's multiplicative noise).
-void serve_connected_user(const SlotContext& ctx, std::size_t u, std::size_t t,
-                          UserWorld& world, const TileRequest& request,
-                          core::QualityLevel level, double granted,
-                          double capacity, bool ack_stalled, bool in_fault,
-                          double delta_estimate, double bandwidth_estimate);
-
-/// Folds a finished world into its sim::UserOutcome (QoE, hit rate,
-/// FPS, recovery accounting).
-sim::UserOutcome finalize_user_outcome(UserWorld& world,
-                                       const SystemSimConfig& config);
+void serve_absent_user(SimRun& run, std::size_t u, std::size_t t,
+                       core::QualityLevel level, double delta_estimate,
+                       double bandwidth_estimate);
 
 }  // namespace cvr::system

@@ -1,13 +1,10 @@
 #include "src/system/system_sim.h"
 
-#include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
-#include "src/core/slot_arena.h"
 #include "src/system/slot_pipeline.h"
-#include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace cvr::system {
 
@@ -32,191 +29,65 @@ SystemSimConfig setup_two_routers(std::size_t users) {
   return config;
 }
 
+void validate(const SystemSimConfig& config) {
+  if (config.users == 0) {
+    throw std::invalid_argument("SystemSimConfig.users: must be positive");
+  }
+  if (config.routers == 0) {
+    throw std::invalid_argument("SystemSimConfig.routers: must be positive");
+  }
+  if (config.slots == 0) {
+    throw std::invalid_argument("SystemSimConfig.slots: must be positive");
+  }
+  if (config.throttle_pool_mbps.empty()) {
+    throw std::invalid_argument(
+        "SystemSimConfig.throttle_pool_mbps: must not be empty");
+  }
+  if (config.pose_upload_period == 0) {
+    throw std::invalid_argument(
+        "SystemSimConfig.pose_upload_period: must be positive");
+  }
+}
+
 SystemSim::SystemSim(SystemSimConfig config) : config_(std::move(config)) {
-  if (config_.users == 0 || config_.routers == 0 || config_.slots == 0) {
-    throw std::invalid_argument("SystemSimConfig: zero users/routers/slots");
-  }
-  if (config_.throttle_pool_mbps.empty()) {
-    throw std::invalid_argument("SystemSimConfig: empty throttle pool");
-  }
-  if (config_.pose_upload_period == 0) {
-    throw std::invalid_argument("SystemSimConfig: zero pose upload period");
-  }
+  validate(config_);
 }
 
 std::vector<sim::UserOutcome> SystemSim::run(
     core::Allocator& allocator, std::size_t repeat, Timeline* timeline,
     telemetry::Collector* telemetry) const {
-  const std::size_t n_users = config_.users;
-  allocator.reset();
-  // Optional within-slot pool, detached before destruction so the
-  // allocator never holds a dangling pointer past this run.
-  std::unique_ptr<cvr::ThreadPool> slot_pool;
-  if (config_.allocator_threads > 0) {
-    slot_pool = std::make_unique<cvr::ThreadPool>(
-        cvr::resolve_thread_count(config_.allocator_threads));
-  }
-  allocator.set_thread_pool(slot_pool.get());
-  struct PoolDetach {
-    core::Allocator& allocator;
-    ~PoolDetach() { allocator.set_thread_pool(nullptr); }
-  } pool_detach{allocator};
-  if (telemetry != nullptr && !telemetry->counting()) telemetry = nullptr;
-  if (telemetry != nullptr && telemetry->tracing()) {
-    telemetry->label_process(telemetry::Collector::kServerPid, "server");
-    for (std::size_t u = 0; u < n_users; ++u) {
-      telemetry->label_process(telemetry::Collector::user_pid(u),
-                               "user " + std::to_string(u));
-    }
-  }
+  SimRun run(config_, repeat, allocator, /*lend_pool=*/true, timeline,
+             telemetry);
+  telemetry = run.telemetry;
 
-  cvr::SplitMix64 mixer(config_.seed ^
-                        (0x5957E3Cull + repeat * 0x9E3779B97F4A7C15ull));
-  cvr::Rng rng(mixer.next());
-
-  AccessNetwork net = build_access_network(config_, repeat, rng);
-  Server server(derive_server_config(config_), n_users);
-  std::vector<UserWorld> worlds = build_user_worlds(config_, repeat);
-
-  SlotContext ctx;
-  ctx.config = &config_;
-  ctx.server = &server;
-  ctx.unmargined = derive_server_config(config_).fov;
-  ctx.unmargined.margin_deg = 0.0;
-  ctx.telemetry = telemetry;
-  ctx.timeline = timeline;
-  ctx.rng = &rng;
+  // The one edge server of Sections V-VI: every user is a member, no
+  // level is capped, and the budget is the nominal router aggregate.
+  EdgeServer edge(run.server_config, config_.users);
+  edge.budget = edge.server.server_bandwidth();
+  edge.members.resize(config_.users);
+  std::iota(edge.members.begin(), edge.members.end(), std::size_t{0});
 
   const faults::FaultSchedule& faults = config_.faults;
-
-  // Per-slot working storage, recycled across the horizon: the arena
-  // recycles the SlotProblem the server builds into and the allocation
-  // keeps its levels capacity, so the estimate->allocate hot path stays
-  // heap-allocation-free in steady state (see src/core/slot_arena.h).
-  core::SlotArena arena;
-  core::Allocation allocation;
-
   for (std::size_t t = 0; t < config_.slots; ++t) {
     const std::int64_t slot = static_cast<std::int64_t>(t);
     telemetry::PhaseSpan slot_span(telemetry, telemetry::Phase::kSlot,
                                    telemetry::Collector::kServerPid, slot);
-    step_routers(net, faults, t);
+    step_routers(run.net, faults, t);
 
     // Server crash-restart: warm tile caches and delivered-tile state
     // vanish; estimators survive (the process kept its learned state,
     // the content cache did not).
-    if (faults.cache_flush_at(t)) server.flush_caches();
+    if (faults.cache_flush_at(t)) edge.server.flush_caches();
 
-    // Pose upload over the TCP side channel: one slot of latency, every
-    // pose_upload_period-th slot ("upload the trace to the server
-    // through TCP periodically"). The message rides the real wire format
-    // (encode -> decode), so the protocol codec is exercised by every
-    // simulated upload.
-    if (t >= 1 && (t - 1) % config_.pose_upload_period == 0) {
-      telemetry::PhaseSpan ingest_span(telemetry,
-                                       telemetry::Phase::kPoseIngest,
-                                       telemetry::Collector::kServerPid, slot);
-      for (std::size_t u = 0; u < n_users; ++u) {
-        // A disconnected or pose-blacked-out user uploads nothing; the
-        // server's staleness watchdog takes it from here.
-        if (faults.user_disconnected(u, t) || faults.pose_blackout(u, t)) {
-          continue;
-        }
-        upload_pose(server, worlds[u], u, t, telemetry);
-      }
-    }
-
-    // Allocation from estimates only.
-    core::SlotProblem& problem = arena.acquire(n_users);
-    {
-      telemetry::PhaseSpan build_span(telemetry,
-                                      telemetry::Phase::kProblemBuild,
-                                      telemetry::Collector::kServerPid, slot);
-      server.build_problem_into(t + 1, problem);
-    }
-    {
-      telemetry::PhaseSpan solve_span(telemetry, telemetry::Phase::kAllocSolve,
-                                      telemetry::Collector::kServerPid, slot);
-      allocator.allocate_into(problem, allocation);
-    }
-    if (allocation.levels.size() != n_users) {
-      throw std::logic_error("allocator returned wrong level count");
-    }
-    if (telemetry != nullptr) {
-      telemetry->count_allocation(allocation.levels);
-    }
-
-    // Tile requests (repetition-filtered) and per-router service.
-    std::vector<TileRequest> requests;
-    requests.reserve(n_users);
-    {
-      telemetry::PhaseSpan fetch_span(telemetry,
-                                      telemetry::Phase::kContentFetch,
-                                      telemetry::Collector::kServerPid, slot);
-      for (std::size_t u = 0; u < n_users; ++u) {
-        if (faults.user_disconnected(u, t)) {
-          // No device on the network: nothing to request, zero demand, and
-          // the server's per-user caches stay untouched for the window.
-          TileRequest idle;
-          idle.level = allocation.levels[u];
-          requests.push_back(std::move(idle));
-          continue;
-        }
-        requests.push_back(server.make_request(u, allocation.levels[u]));
-        if (telemetry != nullptr) {
-          telemetry->count(telemetry::Counter::kTilesRequested,
-                           requests.back().tiles.size());
-        }
-      }
-    }
-
-    // Online rendering (Section VIII): tiles must be rendered+encoded
-    // within the slot before they can be transmitted; a late job ships
-    // nothing this slot.
-    if (config_.online_rendering) {
-      const render::RenderFarm farm(config_.render_farm);
-      std::vector<render::RenderJob> jobs;
-      jobs.reserve(n_users);
-      for (std::size_t u = 0; u < n_users; ++u) {
-        jobs.push_back({u, requests[u].tiles.size(), allocation.levels[u]});
-      }
-      const render::RenderOutcome rendered = farm.schedule(jobs);
-      for (std::size_t u = 0; u < n_users; ++u) {
-        if (!rendered.on_time[u]) {
-          requests[u].tiles.clear();
-          requests[u].fallback_set.clear();
-          requests[u].demand_mbps = 0.0;
-        }
-      }
-    }
+    step_server(run, edge, allocator, t);
     const std::vector<double> granted =
-        serve_routers(net, requests, telemetry, slot);
-
-    for (std::size_t u = 0; u < n_users; ++u) {
-      UserWorld& world = worlds[u];
-      const bool disconnected = faults.user_disconnected(u, t);
-      if (disconnected) {
-        serve_absent_user(ctx, u, t, world, allocation.levels[u],
-                          problem.users[u].delta,
-                          problem.users[u].user_bandwidth);
-        continue;
-      }
-      const bool ack_stalled = faults.ack_stalled(u, t);
-      const bool in_fault = faults.any_fault_for_user(u, net.router_of[u], t);
-      serve_connected_user(ctx, u, t, world, requests[u], allocation.levels[u],
-                           granted[u], router_capacity_for(net, u),
-                           ack_stalled, in_fault, problem.users[u].delta,
-                           problem.users[u].user_bandwidth);
+        serve_routers(run.net, run.requests, telemetry, slot);
+    for (std::size_t u = 0; u < config_.users; ++u) {
+      serve_member(run, edge, u, t, granted[u]);
     }
     if (telemetry != nullptr) telemetry->count(telemetry::Counter::kSlots);
   }
-
-  std::vector<sim::UserOutcome> outcomes;
-  outcomes.reserve(n_users);
-  for (auto& world : worlds) {
-    outcomes.push_back(finalize_user_outcome(world, config_));
-  }
-  return outcomes;
+  return run.finalize();
 }
 
 std::vector<sim::ArmResult> SystemSim::compare(

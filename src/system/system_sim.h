@@ -110,6 +110,12 @@ struct SystemSimConfig {
   std::size_t allocator_threads = 0;
 };
 
+/// Rejects a config no run can use, naming the field in the message:
+/// zero users, routers or slots, an empty throttle pool, or a zero pose
+/// upload period. SystemSim and fleet::FleetSim both call it on
+/// construction.
+void validate(const SystemSimConfig& config);
+
 /// Convenience constructors for the paper's two setups.
 SystemSimConfig setup_one_router(std::size_t users = 8);
 SystemSimConfig setup_two_routers(std::size_t users = 15);

@@ -13,8 +13,10 @@
 
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/dv_greedy.h"
@@ -25,6 +27,7 @@
 #include "src/system/system_sim.h"
 #include "src/system/timeline.h"
 #include "src/telemetry/telemetry.h"
+#include "src/util/thread_pool.h"
 
 namespace cvr {
 namespace {
@@ -545,6 +548,93 @@ TEST(FleetConfigValidation, RejectsDegenerateConfigs) {
   pm.user = 99;  // out of range
   config.planned_migrations.push_back(pm);
   EXPECT_THROW(fleet::FleetSim{config}, std::invalid_argument);
+}
+
+TEST(FleetConfigValidation, BaseErrorsNameTheFieldInBothEngines) {
+  // One system::validate behind both constructors: the same bad base
+  // config is rejected by SystemSim and FleetSim with the field named.
+  const std::vector<std::pair<std::string,
+                              std::function<void(system::SystemSimConfig&)>>>
+      cases = {
+          {"SystemSimConfig.users", [](auto& c) { c.users = 0; }},
+          {"SystemSimConfig.routers", [](auto& c) { c.routers = 0; }},
+          {"SystemSimConfig.slots", [](auto& c) { c.slots = 0; }},
+          {"SystemSimConfig.throttle_pool_mbps",
+           [](auto& c) { c.throttle_pool_mbps.clear(); }},
+          {"SystemSimConfig.pose_upload_period",
+           [](auto& c) { c.pose_upload_period = 0; }},
+      };
+  const auto expect_named = [](const std::function<void()>& construct,
+                               const std::string& field) {
+    try {
+      construct();
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(field + ":", 0), 0u)
+          << error.what();
+    }
+  };
+  for (const auto& [field, corrupt] : cases) {
+    fleet::FleetConfig config;
+    config.base = system::setup_one_router(2);
+    config.base.slots = 50;
+    corrupt(config.base);
+    expect_named([&] { system::SystemSim sim(config.base); }, field);
+    expect_named([&] { fleet::FleetSim sim(config); }, field);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Within-slot allocator pool (SystemSimConfig::allocator_threads) on the
+// fleet's serial schedule.
+
+/// A dv allocator that records the pools it is lent. It is not
+/// stateless(), which keeps the fleet on the serial schedule whatever
+/// CVR_FLEET_THREADS says.
+class PoolSpyAllocator : public core::Allocator {
+ public:
+  std::string_view name() const override { return inner_.name(); }
+  core::Allocation allocate(const core::SlotProblem& problem) override {
+    return inner_.allocate(problem);
+  }
+  void set_thread_pool(cvr::ThreadPool* pool) override {
+    if (pool != nullptr) lent = true;
+    attached = pool != nullptr;
+    inner_.set_thread_pool(pool);
+  }
+
+  bool lent = false;
+  bool attached = false;
+
+ private:
+  core::DvGreedyAllocator inner_;
+};
+
+TEST(FleetAllocatorThreads, LendsThePoolOnTheSerialSchedule) {
+  fleet::FleetConfig config = crash_config(fleet::AssignmentMode::kShardedHash);
+  config.base.slots = 50;
+  config.base.allocator_threads = 2;
+  PoolSpyAllocator spy;
+  fleet::FleetSim(config).run(spy, 0);
+  EXPECT_TRUE(spy.lent);
+  EXPECT_FALSE(spy.attached);  // detached before the pool is destroyed
+}
+
+TEST(FleetAllocatorThreads, BitIdenticalToTheSerialAllocator) {
+  fleet::FleetConfig config = crash_config(fleet::AssignmentMode::kShardedHash);
+  const auto run = [&](std::size_t allocator_threads, system::Timeline* tl) {
+    fleet::FleetConfig c = config;
+    c.base.allocator_threads = allocator_threads;
+    core::DvGreedyAllocator alloc;
+    alloc.set_parallel_min_users(1);  // engage the pool at this scale
+    return fleet::FleetSim(c).run(alloc, 0, tl);
+  };
+  system::Timeline serial_tl;
+  system::Timeline pooled_tl;
+  const fleet::FleetRunResult serial = run(0, &serial_tl);
+  const fleet::FleetRunResult pooled = run(2, &pooled_tl);
+  expect_outcomes_identical(serial.outcomes, pooled.outcomes);
+  expect_timelines_identical(serial_tl, pooled_tl);
 }
 
 }  // namespace

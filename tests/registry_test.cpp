@@ -23,7 +23,6 @@ TEST(Registry, UnknownNameIsNull) {
 
 TEST(Registry, NamesMatchAllocatorSelfReports) {
   EXPECT_EQ(make_allocator("dv")->name(), "dv-greedy");
-  EXPECT_EQ(make_allocator("dv-heap")->name(), "dv-greedy");
   EXPECT_EQ(make_allocator("density")->name(), "density-greedy");
   EXPECT_EQ(make_allocator("value")->name(), "value-greedy");
   EXPECT_EQ(make_allocator("firefly")->name(), "firefly-aqc");
