@@ -1,6 +1,7 @@
 #include "src/sim/simulation.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -28,8 +29,23 @@ TraceSimulation::TraceSimulation(TraceSimConfig config,
     : config_(config),
       repository_(&repository),
       motion_generator_(config.motion) {
-  if (config_.users == 0 || config_.slots == 0 || config_.scenes == 0) {
-    throw std::invalid_argument("TraceSimConfig: zero users/slots/scenes");
+  if (config_.users == 0) {
+    throw std::invalid_argument("TraceSimConfig.users: must be positive");
+  }
+  if (config_.slots == 0) {
+    throw std::invalid_argument("TraceSimConfig.slots: must be positive");
+  }
+  if (config_.scenes == 0) {
+    throw std::invalid_argument("TraceSimConfig.scenes: must be positive");
+  }
+  // B(t) scales this value; a NaN budget would disable every
+  // constraint-(6) check and inf would overflow the DP's budget grid.
+  // Zero stays legal: it yields the all-ones allocation.
+  if (!std::isfinite(config_.server_mbps_per_user) ||
+      config_.server_mbps_per_user < 0.0) {
+    throw std::invalid_argument(
+        "TraceSimConfig.server_mbps_per_user: must be finite and "
+        "non-negative");
   }
   scenes_.reserve(config_.scenes);
   for (std::size_t s = 0; s < config_.scenes; ++s) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/core/dv_greedy.h"
 #include "src/core/firefly.h"
 #include "src/core/pavq.h"
@@ -193,6 +199,49 @@ TEST(TraceSimulation, ZeroScenesRejected) {
   TraceSimConfig config = small_sim_config();
   config.scenes = 0;
   EXPECT_THROW(TraceSimulation(config, repo), std::invalid_argument);
+}
+
+TEST(TraceSimulation, ConfigErrorsNameTheField) {
+  const trace::TraceRepository repo(small_repo_config(), 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(TraceSimConfig&)>>>
+      cases = {
+          {"TraceSimConfig.users", [](auto& c) { c.users = 0; }},
+          {"TraceSimConfig.slots", [](auto& c) { c.slots = 0; }},
+          {"TraceSimConfig.scenes", [](auto& c) { c.scenes = 0; }},
+          {"TraceSimConfig.server_mbps_per_user",
+           [nan](auto& c) { c.server_mbps_per_user = nan; }},
+          {"TraceSimConfig.server_mbps_per_user",
+           [inf](auto& c) { c.server_mbps_per_user = inf; }},
+          {"TraceSimConfig.server_mbps_per_user",
+           [inf](auto& c) { c.server_mbps_per_user = -inf; }},
+          {"TraceSimConfig.server_mbps_per_user",
+           [](auto& c) { c.server_mbps_per_user = -1.0; }},
+      };
+  for (const auto& [field, corrupt] : cases) {
+    TraceSimConfig config = small_sim_config();
+    corrupt(config);
+    try {
+      TraceSimulation sim(config, repo);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(field + ":", 0), 0u)
+          << error.what();
+    }
+  }
+}
+
+TEST(TraceSimulation, ZeroServerBudgetGivesAllOnes) {
+  const trace::TraceRepository repo(small_repo_config(), 1);
+  TraceSimConfig config = small_sim_config(3, 100);
+  config.server_mbps_per_user = 0.0;
+  const TraceSimulation sim(config, repo);
+  core::DvGreedyAllocator alloc;
+  std::vector<TraceSlotRecord> log;
+  sim.run(alloc, 0, &log);
+  ASSERT_FALSE(log.empty());
+  for (const TraceSlotRecord& record : log) EXPECT_EQ(record.level, 1);
 }
 
 TEST(TraceSimulation, HigherAlphaLowersRealizedDelay) {
