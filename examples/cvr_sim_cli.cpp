@@ -39,8 +39,8 @@ std::vector<std::unique_ptr<core::Allocator>> make_allocators(
   }
   for (const std::string& name : core::allocator_names()) {
     // "all" means the comparison set, not every solver: skip the exact
-    // methods unless they are cheap enough to include, and the scan
-    // argmax (identical results to "dv").
+    // methods unless they are cheap enough to include, and "dv-scan",
+    // the plain reference scan (identical results to "dv").
     if (name == "dp" || name == "dv-scan") continue;
     if (name == "optimal" && !(trace_mode && users <= 6)) continue;
     out.push_back(core::make_allocator(name, context));

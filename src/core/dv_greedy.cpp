@@ -5,13 +5,11 @@
 #include <limits>
 #include <vector>
 
-#include "src/core/simd.h"
 #include "src/util/thread_pool.h"
 
 namespace cvr::core {
 
 namespace {
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 /// Parallel-fill marker for a user that holds no heap entry.
 constexpr std::size_t kNoCandidate = std::numeric_limits<std::size_t>::max();
 
@@ -84,37 +82,32 @@ double DvGreedyAllocator::seed_levels(const SlotProblem& problem, Rank rank,
 void DvGreedyAllocator::greedy_pass(const SlotProblem& problem, Rank rank,
                                     std::vector<QualityLevel>& q) {
   const std::size_t n_users = problem.user_count();
-  const std::size_t stride = tables_.stride();
   double used_rate = seed_levels(problem, rank, q);
 
-  // Dense score array, one lane per user: the marginal score of the
-  // user's next increment, or -inf once quality_verification retired
-  // the user (level cap, B_n, or a B(t)-violating increment). Pad
-  // lanes [n_users, stride) stay -inf. Only the incremented user's
-  // lane changes per iteration, so the argmax is incremental: a
-  // FirstMaxTracker caches per-block maxima and returns the same index
-  // a full simd::argmax_first pass would, in O(stride/kBlock) instead
-  // of O(stride) per iteration.
-  const double* score_base = rank == Rank::kDensity
-                                 ? tables_.density_row(1)
-                                 : tables_.increment_row(1);
-  scores_.assign(stride, kNegInf);
+  // The set I of Algorithm 1: users that may still be raised.
+  in_set_.assign(n_users, 0);
   for (std::size_t n = 0; n < n_users; ++n) {
-    if (q[n] < kNumQualityLevels) {
-      scores_[n] = score_base[static_cast<std::size_t>(q[n] - 1) * stride + n];
-    }
+    in_set_[n] = q[n] < kNumQualityLevels;
   }
-  scan_max_.reset(scores_.data(), stride);
 
   // quality_verification(q_n, I) from Algorithm 1, applied *after* a
   // tentative increment: drop the user at the ceiling; revert and drop
   // the user whose increment broke a rate constraint.
   while (true) {
-    const std::size_t best = scan_max_.argmax();
-    const double best_score = scores_[best];
-    // Negative best marginal stops the pass ("if eta_{n*} < 0 then
-    // I = {}"); -inf means every user is retired — same exit.
-    if (best_score < 0.0) break;
+    // argmax over I of the marginal score at q_n -> q_n + 1; the first
+    // strict maximum wins, so ties go to the smallest index.
+    double best_score = 0.0;
+    std::size_t best = n_users;
+    for (std::size_t n = 0; n < n_users; ++n) {
+      if (!in_set_[n]) continue;
+      const double score = rank_score(tables_[n], q[n], rank);
+      if (best == n_users || score > best_score) {
+        best_score = score;
+        best = n;
+      }
+    }
+    // I is empty, or "if eta_{n*} < 0 then I = {}".
+    if (best == n_users || best_score < 0.0) break;
 
     const auto& user = problem.users[best];
     const double inc = user.rate[static_cast<std::size_t>(q[best])] -
@@ -125,18 +118,10 @@ void DvGreedyAllocator::greedy_pass(const SlotProblem& problem, Rank rank,
         used_rate > problem.server_bandwidth + kFeasibilityEpsilon) {
       q[best] -= 1;
       used_rate -= inc;
-      scores_[best] = kNegInf;
-      scan_max_.update(best);
-      continue;
+      in_set_[best] = 0;
+    } else if (q[best] == kNumQualityLevels) {
+      in_set_[best] = 0;
     }
-    if (q[best] == kNumQualityLevels) {
-      scores_[best] = kNegInf;
-      scan_max_.update(best);
-      continue;
-    }
-    scores_[best] =
-        score_base[static_cast<std::size_t>(q[best] - 1) * stride + best];
-    scan_max_.update(best);
   }
 }
 

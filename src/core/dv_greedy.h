@@ -22,13 +22,9 @@
 // O(N + (K + I) log K), where K is the number of users whose next level
 // fits their own B_n (the only ones the heap ever holds — degrade-pinned
 // and ramp-capped sessions stay out) and I the number of increments;
-// `Strategy::kHeap` is the default, with the scan kept as the
-// paper-literal reference and the tests pinning bitwise-identical
-// allocations between the two. The
-// scan itself now keeps a dense per-user score array (one lane per
-// user, -inf marking deactivated users) and finds each argmax with
-// simd::argmax_first — same winner as the textbook forward scan, one
-// AVX2 pass instead of a branchy loop.
+// `Strategy::kHeap` is the default. The scan stays the paper's plain
+// forward argmax over I — the readable reference the tests pin the
+// heap against, bitwise-identical allocations between the two.
 //
 // Both strategies read their marginal scores from a per-slot HTable
 // (src/core/htable.h) precomputed in O(N L) by the SoA/SIMD kernel —
@@ -41,7 +37,6 @@
 
 #include "src/core/allocator.h"
 #include "src/core/htable.h"
-#include "src/core/simd.h"
 
 namespace cvr::core {
 
@@ -54,9 +49,8 @@ class DvGreedyAllocator final : public Allocator {
   ///
   /// Tie-break contract: when several users share the best marginal
   /// score, the ascent raises the user with the SMALLEST index. kScan
-  /// keeps the first strict maximum of a forward scan (now evaluated
-  /// by simd::argmax_first over the dense score array — same winner by
-  /// construction); kHeap's comparator orders equal scores by index,
+  /// keeps the first strict maximum of a plain forward scan over I;
+  /// kHeap's comparator orders equal scores by index,
   /// and each user holds at most one entry, always scored at its
   /// current level. This contract is what makes the two
   /// strategies bit-identical — same levels, same objective — which the
@@ -64,7 +58,7 @@ class DvGreedyAllocator final : public Allocator {
   /// instances (duplicated users, quantized rates, boundary-exact
   /// budgets). kHeap is the default: O(N + (K + I) log K) vs the scan's
   /// O(N^2 L), with the scan kept as the paper-literal reference
-  /// implementation (registry name "dv-scan").
+  /// implementation (registry name "dv-scan"), deliberately plain.
   enum class Strategy { kScan, kHeap };
 
   /// Users-per-slot at or above which a pool attached via
@@ -170,8 +164,7 @@ class DvGreedyAllocator final : public Allocator {
   std::vector<QualityLevel> density_levels_;
   std::vector<QualityLevel> value_levels_;
   std::vector<QualityLevel> prev_levels_;  ///< Warm-start seed.
-  std::vector<double> scores_;  ///< Dense scan scores, -inf = inactive.
-  simd::FirstMaxTracker scan_max_;  ///< Incremental argmax over scores_.
+  std::vector<unsigned char> in_set_;  ///< Scan: 1 while user is in I.
   std::vector<HeapEntry> heap_;
 };
 

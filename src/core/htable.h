@@ -212,25 +212,6 @@ class HTableSet {
 
   std::size_t size() const { return users_; }
 
-  /// @brief Padded lane count of the planes (simd::padded(size())).
-  std::size_t stride() const { return stride_; }
-
-  /// @brief Contiguous plane of every user's marginal value at level
-  /// `q` (lane i = user i); entries [size(), stride()) are pad lanes.
-  /// The dv-scan pass seeds its dense score array from this row.
-  /// @pre 1 <= q < kNumQualityLevels.
-  const double* increment_row(QualityLevel q) const {
-    assert(q >= 1 && q < kNumQualityLevels);
-    return increment_.data() + static_cast<std::size_t>(q - 1) * stride_;
-  }
-
-  /// @brief Contiguous plane of every user's marginal density at level
-  /// `q`; same layout contract as increment_row().
-  const double* density_row(QualityLevel q) const {
-    assert(q >= 1 && q < kNumQualityLevels);
-    return density_.data() + static_cast<std::size_t>(q - 1) * stride_;
-  }
-
   /// @brief sum_n value(levels[n]) — bit-identical to core::evaluate()
   /// (same per-user doubles summed in the same order).
   /// @throws std::invalid_argument on a level-count mismatch, like

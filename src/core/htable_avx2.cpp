@@ -1,14 +1,14 @@
-// AVX2 kernels for the SoA h-table build and the dv-scan argmax.
+// AVX2 kernel for the SoA h-table build.
 //
 // This translation unit is the ONLY one compiled with -mavx2 (see
 // src/core/CMakeLists.txt), so the rest of the library keeps the
 // baseline x86-64 ISA and the runtime dispatcher in simd.cpp decides
-// whether these symbols are ever called. Every arithmetic step here is
+// whether this kernel is ever called. Every arithmetic step here is
 // the same IEEE-754 operation, in the same association order, as the
-// scalar kernels in htable.cpp / simd.cpp — AVX2 mul/add/sub/div are
-// lane-wise correctly rounded, -mavx2 does not imply FMA, and the
-// project builds with -ffp-contract=off, so the outputs are
-// bit-identical to the scalar path (docs/vectorization.md).
+// scalar kernel in htable.cpp — AVX2 mul/add/sub/div are lane-wise
+// correctly rounded, -mavx2 does not imply FMA, and the project builds
+// with -ffp-contract=off, so the outputs are bit-identical to the
+// scalar path (docs/vectorization.md).
 #include "src/core/htable.h"
 #include "src/core/simd.h"
 
@@ -74,53 +74,5 @@ void build_htables_avx2(const SlotProblemSoA& soa, const QoeParams& params,
 }
 
 }  // namespace cvr::core::detail
-
-namespace cvr::core::simd::detail {
-
-std::size_t argmax_first_avx2(const double* scores, std::size_t n) {
-  if (n < 2 * kLanes) return argmax_first_scalar(scores, n);
-  // Two phases. Phase 1 finds the numeric maximum with two independent
-  // vmaxpd accumulator chains (no loop-carried blend dependency, so the
-  // loop runs at load throughput). Phase 2 finds the first position
-  // numerically EQUAL to that maximum (cmp_eq + movemask, early exit).
-  // Equality — not the bit pattern vmaxpd happened to keep — is what
-  // makes this the forward-scan winner: the scalar scan's strict `>`
-  // keeps the first occurrence of the numeric maximum, -0.0 == 0.0
-  // included, and NaN is excluded by precondition.
-  const std::size_t vec_end = n / kLanes * kLanes;
-  __m256d m0 = _mm256_loadu_pd(scores);
-  __m256d m1 = m0;
-  std::size_t i = kLanes;
-  for (; i + kLanes < vec_end; i += 2 * kLanes) {
-    m0 = _mm256_max_pd(m0, _mm256_loadu_pd(scores + i));
-    m1 = _mm256_max_pd(m1, _mm256_loadu_pd(scores + i + kLanes));
-  }
-  for (; i < vec_end; i += kLanes) {
-    m0 = _mm256_max_pd(m0, _mm256_loadu_pd(scores + i));
-  }
-  const __m256d m = _mm256_max_pd(m0, m1);
-  const __m128d half =
-      _mm_max_pd(_mm256_castpd256_pd128(m), _mm256_extractf128_pd(m, 1));
-  double best_score =
-      _mm_cvtsd_f64(_mm_max_sd(half, _mm_unpackhi_pd(half, half)));
-  for (std::size_t t = vec_end; t < n; ++t) {
-    if (scores[t] > best_score) best_score = scores[t];
-  }
-  const __m256d target = _mm256_set1_pd(best_score);
-  for (std::size_t j = 0; j < vec_end; j += kLanes) {
-    const int mask = _mm256_movemask_pd(
-        _mm256_cmp_pd(_mm256_loadu_pd(scores + j), target, _CMP_EQ_OQ));
-    if (mask != 0) {
-      return j + static_cast<std::size_t>(__builtin_ctz(
-                     static_cast<unsigned>(mask)));
-    }
-  }
-  for (std::size_t t = vec_end; t < n; ++t) {
-    if (scores[t] == best_score) return t;
-  }
-  return 0;  // unreachable for NaN-free input
-}
-
-}  // namespace cvr::core::simd::detail
 
 #endif  // CVR_HAVE_AVX2

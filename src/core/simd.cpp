@@ -1,8 +1,6 @@
 #include "src/core/simd.h"
 
-#include <algorithm>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
 namespace cvr::core::simd {
@@ -50,83 +48,6 @@ void set_backend_for_testing(Backend backend) {
         "set_backend_for_testing: AVX2 not available on this host/build");
   }
   backend_slot() = backend;
-}
-
-namespace detail {
-
-std::size_t argmax_first_scalar(const double* scores, std::size_t n) {
-  std::size_t best = 0;
-  double best_score = scores[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    if (scores[i] > best_score) {
-      best_score = scores[i];
-      best = i;
-    }
-  }
-  return best;
-}
-
-}  // namespace detail
-
-std::size_t argmax_first(const double* scores, std::size_t n) {
-#if defined(CVR_HAVE_AVX2)
-  if (active_backend() == Backend::kAvx2) {
-    return detail::argmax_first_avx2(scores, n);
-  }
-#endif
-  return detail::argmax_first_scalar(scores, n);
-}
-
-namespace {
-
-// Plain numeric maximum of scores[begin..end) — comparisons only, no
-// arithmetic, so it is backend-independent by construction.
-double range_maximum(const double* scores, std::size_t begin,
-                     std::size_t end) {
-  double best = scores[begin];
-  for (std::size_t i = begin + 1; i < end; ++i) {
-    if (scores[i] > best) best = scores[i];
-  }
-  return best;
-}
-
-}  // namespace
-
-void FirstMaxTracker::reset(const double* scores, std::size_t n) {
-  scores_ = scores;
-  n_ = n;
-  n_blocks_ = (n + kBlock - 1) / kBlock;
-  // Pad the block-maxima array to a full vector multiple so argmax()
-  // can hand it straight to argmax_first; -inf pads can never win.
-  block_max_.assign(std::max<std::size_t>(padded(n_blocks_), kLanes),
-                    -std::numeric_limits<double>::infinity());
-  for (std::size_t b = 0; b < n_blocks_; ++b) {
-    block_max_[b] =
-        range_maximum(scores_, b * kBlock, std::min(n_, (b + 1) * kBlock));
-  }
-}
-
-void FirstMaxTracker::update(std::size_t i) {
-  const std::size_t b = i / kBlock;
-  block_max_[b] =
-      range_maximum(scores_, b * kBlock, std::min(n_, (b + 1) * kBlock));
-}
-
-std::size_t FirstMaxTracker::argmax() const {
-  const std::size_t b = argmax_first(block_max_.data(), block_max_.size());
-  // argmax_first returns the first block whose maximum is the global
-  // numeric maximum, i.e. the first block containing it; the first
-  // element equal to it inside that block is the forward-scan winner.
-  // (Numeric equality, not bit equality: -0.0 == 0.0 matches the
-  // forward scan's strict-> semantics, and NaN is excluded by
-  // precondition.)
-  const double target = block_max_[b];
-  const std::size_t begin = b * kBlock;
-  const std::size_t end = std::min(n_, begin + kBlock);
-  for (std::size_t i = begin; i < end; ++i) {
-    if (scores_[i] == target) return i;
-  }
-  return begin;  // unreachable for NaN-free input
 }
 
 }  // namespace cvr::core::simd

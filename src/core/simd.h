@@ -1,12 +1,12 @@
 // Runtime SIMD backend selection for the allocator hot path.
 //
-// The h-table build and the dv-scan argmax have two implementations:
-// a portable scalar kernel (always compiled, the reference) and an
-// AVX2 kernel (compiled only when the toolchain accepts -mavx2, picked
-// only when the CPU reports AVX2 at runtime). Both kernels perform the
-// SAME IEEE-754 operations in the SAME association order per element,
-// and no kernel is compiled with FP contraction (-ffp-contract=off is
-// set project-wide), so their outputs are bit-identical — pinned by
+// The h-table build has two implementations: a portable scalar kernel
+// (always compiled, the reference) and an AVX2 kernel (compiled only
+// when the toolchain accepts -mavx2, picked only when the CPU reports
+// AVX2 at runtime). Both kernels perform the SAME IEEE-754 operations
+// in the SAME association order per element, and no kernel is
+// compiled with FP contraction (-ffp-contract=off is set
+// project-wide), so their outputs are bit-identical — pinned by
 // the core.htable_simd_matches_scalar property and tests/simd_test.cpp.
 // See docs/vectorization.md for the full contract.
 //
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace cvr::core::simd {
 
@@ -57,73 +56,5 @@ const char* backend_name(Backend backend);
 /// avx2_available() is false. Not thread-safe — call from test setup
 /// only, never while allocators run on a pool.
 void set_backend_for_testing(Backend backend);
-
-/// Index of the FIRST strict maximum of scores[0..n): the element that
-/// every later equal-or-smaller value fails to displace — exactly the
-/// winner of dv-greedy's forward argmax scan, so ties break toward the
-/// smallest index. Returns 0 when every element ties (including the
-/// all--infinity array the scan uses as its "no active user" state).
-/// Precondition: n >= 1 and scores contains no NaN (the generators and
-/// the validated rate tables cannot produce one; -inf is fine and is
-/// the scan's sentinel for deactivated users).
-/// Dispatches on active_backend(); both kernels return the same index
-/// for every NaN-free input (tests/simd_test.cpp sweeps this).
-std::size_t argmax_first(const double* scores, std::size_t n);
-
-/// Incremental argmax_first over a dense score array that changes ONE
-/// element per step — the dv-scan ascent's exact access pattern. Keeps
-/// a cached maximum per kBlock-element block; update(i) recomputes only
-/// i's block (O(kBlock)), and argmax() runs argmax_first over the block
-/// maxima (O(n/kBlock), vectorized through the normal dispatch) then
-/// locates the winner inside one block. Every answer is the same index
-/// a full argmax_first pass would return — the first block whose
-/// cached maximum equals the global numeric maximum is the first block
-/// *containing* it, and the first element in that block equal to it is
-/// the forward-scan winner (ties to the smallest index, exactly as
-/// argmax_first). Same preconditions as argmax_first: n >= 1, no NaN.
-///
-/// The backing vector recycles its capacity across reset() calls, so
-/// the steady-state zero-allocation contract of the allocator hot path
-/// (docs/performance.md) is preserved.
-class FirstMaxTracker {
- public:
-  /// Elements per cached block. Two AVX2 vectors: small enough that
-  /// update() and the in-block locate stay a handful of compares,
-  /// large enough that the block-maxima array an argmax() scans is
-  /// n/8 long instead of n.
-  static constexpr std::size_t kBlock = 2 * kLanes;
-
-  /// (Re)binds the tracker to scores[0..n) and rebuilds every block
-  /// maximum in O(n). The array must outlive the tracker's use; the
-  /// caller reports in-place changes via update().
-  void reset(const double* scores, std::size_t n);
-
-  /// Recomputes the block maximum covering index i. Call after every
-  /// in-place write to scores[i].
-  void update(std::size_t i);
-
-  /// Index of the first strict maximum — bit-for-bit the same index
-  /// argmax_first(scores, n) returns.
-  std::size_t argmax() const;
-
- private:
-  const double* scores_ = nullptr;
-  std::size_t n_ = 0;
-  std::size_t n_blocks_ = 0;
-  std::vector<double> block_max_;  ///< Padded to kLanes with -inf.
-};
-
-namespace detail {
-
-/// The portable reference argmax (first strict maximum).
-std::size_t argmax_first_scalar(const double* scores, std::size_t n);
-
-#if defined(CVR_HAVE_AVX2)
-/// AVX2 argmax; requires n >= 1. Safe for any n (vector main loop plus
-/// scalar tail — no padding requirement on `scores`).
-std::size_t argmax_first_avx2(const double* scores, std::size_t n);
-#endif
-
-}  // namespace detail
 
 }  // namespace cvr::core::simd

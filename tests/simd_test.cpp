@@ -1,14 +1,12 @@
-// SIMD backend contract tests: dispatch rules, argmax semantics, and
-// the scalar≡AVX2 bit-exactness guarantee of the SoA h-table kernels
+// SIMD backend contract tests: dispatch rules and the scalar≡AVX2
+// bit-exactness guarantee of the SoA h-table kernels
 // (docs/vectorization.md). The ParallelMerge suite additionally pins
 // the within-slot parallel path bit-identical to serial — it is the
 // target of the TSan CI leg.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -16,7 +14,6 @@
 #include "src/core/dv_greedy.h"
 #include "src/core/htable.h"
 #include "src/core/simd.h"
-#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 namespace cvr::core {
@@ -24,8 +21,6 @@ namespace {
 
 namespace simd = cvr::core::simd;
 using testutil::random_problem;
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -39,14 +34,6 @@ std::vector<simd::Backend> testable_backends() {
   std::vector<simd::Backend> backends{simd::Backend::kScalar};
   if (simd::avx2_available()) backends.push_back(simd::Backend::kAvx2);
   return backends;
-}
-
-/// Reference semantics: index of the first strict maximum, i.e. what
-/// the paper-literal forward scan picks (std::max_element keeps the
-/// first occurrence by definition).
-std::size_t reference_argmax(const std::vector<double>& v) {
-  return static_cast<std::size_t>(
-      std::max_element(v.begin(), v.end()) - v.begin());
 }
 
 TEST(SimdDispatch, PaddedRoundsUpToLanes) {
@@ -79,88 +66,6 @@ TEST(SimdDispatch, ForcingBackendsRoundTrips) {
     EXPECT_THROW(simd::set_backend_for_testing(simd::Backend::kAvx2),
                  std::invalid_argument);
   }
-}
-
-TEST(SimdArgmax, MatchesReferenceAcrossSizesAndTies) {
-  // Values drawn from a tiny set force exact ties in almost every
-  // array; -inf plays the scan's "deactivated" sentinel. Every size up
-  // to a few vectors covers all remainder-lane shapes.
-  const double palette[] = {kNegInf, -2.0, -0.0, 0.0, 1.0, 1.0, 3.5};
-  cvr::Rng rng(2024);
-  for (std::size_t n = 1; n <= 40; ++n) {
-    for (int trial = 0; trial < 200; ++trial) {
-      std::vector<double> scores(n);
-      for (double& s : scores) {
-        s = palette[static_cast<std::size_t>(rng.uniform_int(0, 6))];
-      }
-      const std::size_t expected = reference_argmax(scores);
-      EXPECT_EQ(simd::detail::argmax_first_scalar(scores.data(), n), expected)
-          << "n=" << n << " trial=" << trial;
-#if defined(CVR_HAVE_AVX2)
-      if (simd::avx2_available()) {
-        EXPECT_EQ(simd::detail::argmax_first_avx2(scores.data(), n), expected)
-            << "n=" << n << " trial=" << trial;
-      }
-#endif
-    }
-  }
-}
-
-TEST(SimdArgmax, AllNegInfReturnsZero) {
-  const BackendGuard guard;
-  for (simd::Backend backend : testable_backends()) {
-    simd::set_backend_for_testing(backend);
-    const std::vector<double> scores(17, kNegInf);
-    EXPECT_EQ(simd::argmax_first(scores.data(), scores.size()), 0u)
-        << simd::backend_name(backend);
-  }
-}
-
-TEST(SimdArgmax, TrackerMatchesFullScanUnderSingleElementUpdates) {
-  // Drives FirstMaxTracker exactly like the dv-scan ascent does: bind
-  // to an array, then mutate one element at a time (tie-heavy palette,
-  // -inf deactivations included) and require every argmax() to match a
-  // full argmax_first pass — under both backends.
-  const double palette[] = {kNegInf, -2.0, -0.0, 0.0, 1.0, 1.0, 3.5};
-  const BackendGuard guard;
-  for (simd::Backend backend : testable_backends()) {
-    simd::set_backend_for_testing(backend);
-    cvr::Rng rng(77);
-    for (std::size_t n : {1u, 3u, 7u, 8u, 9u, 24u, 120u, 121u}) {
-      std::vector<double> scores(n);
-      for (double& s : scores) {
-        s = palette[static_cast<std::size_t>(rng.uniform_int(0, 6))];
-      }
-      simd::FirstMaxTracker tracker;
-      tracker.reset(scores.data(), n);
-      EXPECT_EQ(tracker.argmax(), reference_argmax(scores))
-          << simd::backend_name(backend) << " n=" << n << " (initial)";
-      for (int step = 0; step < 300; ++step) {
-        const auto i = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-        scores[i] = palette[static_cast<std::size_t>(rng.uniform_int(0, 6))];
-        tracker.update(i);
-        ASSERT_EQ(tracker.argmax(), reference_argmax(scores))
-            << simd::backend_name(backend) << " n=" << n << " step=" << step;
-      }
-    }
-  }
-}
-
-TEST(SimdArgmax, TrackerResetRebindsAndRecyclesCapacity) {
-  simd::FirstMaxTracker tracker;
-  const std::vector<double> a = {1.0, 5.0, 5.0, -1.0};
-  tracker.reset(a.data(), a.size());
-  EXPECT_EQ(tracker.argmax(), 1u);
-  const std::vector<double> b(9, kNegInf);
-  tracker.reset(b.data(), b.size());
-  EXPECT_EQ(tracker.argmax(), 0u);
-  std::vector<double> c = {0.0, 0.0};
-  tracker.reset(c.data(), c.size());
-  EXPECT_EQ(tracker.argmax(), 0u);
-  c[1] = 2.0;
-  tracker.update(1);
-  EXPECT_EQ(tracker.argmax(), 1u);
 }
 
 /// Builds the set under both backends and requires every table entry
