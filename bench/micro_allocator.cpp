@@ -53,19 +53,18 @@ SlotProblem make_problem(std::size_t users, std::uint64_t seed = 99) {
   return problem;
 }
 
-void BM_DvGreedy(benchmark::State& state) {
+void BM_DvScan(benchmark::State& state) {
   const SlotProblem problem = make_problem(static_cast<std::size_t>(state.range(0)));
-  // Pinned to the paper-literal scan so this stays a scan-vs-heap
-  // comparison now that the default strategy is kHeap.
+  // The paper-literal scan ("dv-scan"), next to the default heap below.
   DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
                           DvGreedyAllocator::Strategy::kScan);
   for (auto _ : state) {
     benchmark::DoNotOptimize(alloc.allocate(problem));
   }
 }
-BENCHMARK(BM_DvGreedy)->Arg(5)->Arg(15)->Arg(30)->Arg(60)->Arg(120)->Arg(240);
+BENCHMARK(BM_DvScan)->Arg(5)->Arg(15)->Arg(30)->Arg(60)->Arg(120)->Arg(240);
 
-void BM_DvGreedyHeap(benchmark::State& state) {
+void BM_Dv(benchmark::State& state) {
   const SlotProblem problem = make_problem(static_cast<std::size_t>(state.range(0)));
   DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
                           DvGreedyAllocator::Strategy::kHeap);
@@ -73,7 +72,7 @@ void BM_DvGreedyHeap(benchmark::State& state) {
     benchmark::DoNotOptimize(alloc.allocate(problem));
   }
 }
-BENCHMARK(BM_DvGreedyHeap)->Arg(5)->Arg(15)->Arg(30)->Arg(60)->Arg(120)->Arg(240);
+BENCHMARK(BM_Dv)->Arg(5)->Arg(15)->Arg(30)->Arg(60)->Arg(120)->Arg(240);
 
 void BM_Pavq(benchmark::State& state) {
   const SlotProblem problem = make_problem(static_cast<std::size_t>(state.range(0)));
@@ -180,17 +179,17 @@ void write_perf_baseline(const std::string& path, const std::string& machine) {
   // The near-linear solvers additionally capture an allocate_n10000
   // phase (the within-slot parallelism regime); the paper-literal scan
   // is excluded there — its O(N^2 L) ascent would dominate the run for
-  // no extra signal (the n120 phase already gates its SIMD argmax).
+  // no extra signal.
   const std::vector<std::size_t> sizes_with_large = {5, 15, 30, 120, 10000};
   {
     DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
                             DvGreedyAllocator::Strategy::kScan);
-    report.arms.push_back(measure_arm("dv", alloc, sizes));
+    report.arms.push_back(measure_arm("dv_scan", alloc, sizes));
   }
   {
     DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
                             DvGreedyAllocator::Strategy::kHeap);
-    report.arms.push_back(measure_arm("dv_heap", alloc, sizes_with_large));
+    report.arms.push_back(measure_arm("dv", alloc, sizes_with_large));
   }
   {
     // Warm-start ablation: measure_arm repeats the same problem per
@@ -226,12 +225,12 @@ void run_sweep() {
     std::unique_ptr<core::Allocator> allocator;
   };
   std::vector<Solver> solvers;
+  solvers.push_back({"dv_scan", std::make_unique<DvGreedyAllocator>(
+                                    DvGreedyAllocator::Mode::kCombined,
+                                    DvGreedyAllocator::Strategy::kScan)});
   solvers.push_back({"dv", std::make_unique<DvGreedyAllocator>(
                                DvGreedyAllocator::Mode::kCombined,
-                               DvGreedyAllocator::Strategy::kScan)});
-  solvers.push_back({"dv_heap", std::make_unique<DvGreedyAllocator>(
-                                    DvGreedyAllocator::Mode::kCombined,
-                                    DvGreedyAllocator::Strategy::kHeap)});
+                               DvGreedyAllocator::Strategy::kHeap)});
   solvers.push_back({"pavq", std::make_unique<PavqAllocator>()});
   solvers.push_back({"firefly", std::make_unique<FireflyAllocator>()});
   solvers.push_back({"lagrangian", std::make_unique<LagrangianAllocator>()});
@@ -243,7 +242,7 @@ void run_sweep() {
     for (Solver& solver : solvers) {
       // The paper-literal scan's O(N^2 L) ascent takes seconds per slot
       // at N=10000 — skip it there; every other solver is near-linear.
-      if (n > 1000 && std::string_view(solver.name) == "dv") continue;
+      if (n > 1000 && std::string_view(solver.name) == "dv_scan") continue;
       solver.allocator->reset();
       Allocation out;
       solver.allocator->allocate_into(problem, out);  // warm scratch
