@@ -6,14 +6,11 @@ void DeliveredTileTracker::mark_released(const std::vector<VideoId>& ids) {
   for (VideoId id : ids) delivered_.erase(id);
 }
 
-std::vector<VideoId> DeliveredTileTracker::filter_needed(
-    const std::vector<VideoId>& request) const {
-  std::vector<VideoId> needed;
-  needed.reserve(request.size());
+void DeliveredTileTracker::filter_needed(const std::vector<VideoId>& request,
+                                         std::vector<VideoId>& needed) const {
   for (VideoId id : request) {
     if (needs_transmit(id)) needed.push_back(id);
   }
-  return needed;
 }
 
 }  // namespace cvr::content

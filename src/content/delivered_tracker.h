@@ -27,8 +27,11 @@ class DeliveredTileTracker {
   /// retransmittable.
   void mark_released(const std::vector<VideoId>& ids);
 
-  /// Filters a request set down to the tiles that actually need sending.
-  std::vector<VideoId> filter_needed(const std::vector<VideoId>& request) const;
+  /// Appends to `needed`, in order, the ids of `request` that actually
+  /// need sending. `needed` keeps what it held and must not alias
+  /// `request`.
+  void filter_needed(const std::vector<VideoId>& request,
+                     std::vector<VideoId>& needed) const;
 
   std::size_t delivered_count() const { return delivered_.size(); }
 

@@ -16,9 +16,6 @@ inline std::size_t slot_index(std::uint64_t key, std::size_t size) {
 }
 
 constexpr std::size_t kMinTableSlots = 64;
-constexpr std::uint32_t kStateEmpty = 0;
-constexpr std::uint32_t kStateTombstone = 1;
-constexpr std::uint32_t kStateLive = 2;
 
 }  // namespace
 
@@ -47,29 +44,45 @@ void ServerTileCache::advance(const GridCell& center) {
     for (std::int32_t dy = -r; dy <= r; ++dy) {
       const GridCell cell{center.gx + dx, center.gy + dy};
       const std::uint32_t bidx = find_or_create_block(block_key(cell));
+      const std::uint64_t first = next_tick_;
       if (range_stamps) {
-        ring_.push_back({next_tick_, bidx, 0,
+        ring_.push_back({first, bidx, 0,
                          static_cast<std::uint8_t>(kIdsPerBlock)});
       }
       Block& b = blocks_[bidx];
-      for (int off = 0; off < kIdsPerBlock; ++off) {
-        const bool newly = b.ticks[off] == 0;
-        b.ticks[off] = next_tick_++;
-        if (!range_stamps) {
-          ring_.push_back({b.ticks[off], bidx,
-                           static_cast<std::uint8_t>(off),
-                           static_cast<std::uint8_t>(off + 1)});
+      if (range_stamps &&
+          live_ + (kIdsPerBlock - b.live) <= config_.capacity_tiles) {
+        // Every id fits without an eviction: one straight pass.
+        live_ += kIdsPerBlock - b.live;
+        b.live = kIdsPerBlock;
+        for (int off = 0; off < kIdsPerBlock; ++off) {
+          b.ticks[off] = first + static_cast<std::uint64_t>(off);
         }
-        if (newly) {
-          ++b.live;
-          ++live_;
-          // Evicting here (not after the block) keeps the exact
-          // insert/evict interleaving of a per-id LRU: a victim later
-          // in this very block is evicted and then re-inserted when
-          // the loop reaches it, exactly as the naive schedule would.
-          while (live_ > config_.capacity_tiles) evict_lru();
+        next_tick_ += kIdsPerBlock;
+      } else {
+        for (int off = 0; off < kIdsPerBlock; ++off) {
+          const bool newly = b.ticks[off] == 0;
+          b.ticks[off] = next_tick_++;
+          if (!range_stamps) {
+            ring_.push_back({b.ticks[off], bidx,
+                             static_cast<std::uint8_t>(off),
+                             static_cast<std::uint8_t>(off + 1)});
+          }
+          if (newly) {
+            ++b.live;
+            ++live_;
+            // Evicting here (not after the block) keeps the exact
+            // insert/evict interleaving of a per-id LRU: a victim later
+            // in this very block is evicted and then re-inserted when
+            // the loop reaches it, exactly as the naive schedule would.
+            while (live_ > config_.capacity_tiles) evict_lru();
+          }
         }
       }
+      // Only now is every live tick of the block >= first: during the
+      // pass, ids not yet re-stamped were live under older ticks, and
+      // eviction had to see their stamps.
+      b.epoch = first;
       maybe_compact_ring();
     }
   }
@@ -104,23 +117,17 @@ std::uint32_t ServerTileCache::find_block(std::uint64_t key) const {
   const std::size_t mask = table_.size() - 1;
   for (std::size_t i = slot_index(key, table_.size());; i = (i + 1) & mask) {
     const TableEntry& e = table_[i];
-    if (e.state == kStateEmpty) return kNoBlock;
-    if (e.state == kStateLive && e.key == key) return e.block;
+    if (!e.live) return kNoBlock;
+    if (e.key == key) return e.block;
   }
 }
 
 std::uint32_t ServerTileCache::find_or_create_block(std::uint64_t key) {
   const std::size_t mask = table_.size() - 1;
-  const std::size_t npos = table_.size();
-  std::size_t insert_at = npos;
   std::size_t i = slot_index(key, table_.size());
   for (;; i = (i + 1) & mask) {
-    TableEntry& e = table_[i];
-    if (e.state == kStateEmpty) break;
-    if (e.state == kStateTombstone) {
-      if (insert_at == npos) insert_at = i;
-      continue;
-    }
+    const TableEntry& e = table_[i];
+    if (!e.live) break;
     if (e.key == key) return e.block;
   }
   std::uint32_t bidx;
@@ -132,19 +139,10 @@ std::uint32_t ServerTileCache::find_or_create_block(std::uint64_t key) {
     blocks_.emplace_back();
   }
   blocks_[bidx].key = key;  // ticks already zero (fresh or free_block'd)
-  if (insert_at != npos) {
-    --tombstones_;
-  } else {
-    insert_at = i;
-  }
-  table_[insert_at] = {key, bidx, kStateLive};
+  table_[i] = {key, bidx, true};
   ++live_blocks_;
-  // Keep the probe load factor (live + tombstones) at or under 1/2.
-  if ((live_blocks_ + tombstones_) * 2 >= table_.size()) {
-    std::size_t target = kMinTableSlots;
-    while (target < 4 * live_blocks_) target <<= 1;
-    rehash_table(target);
-  }
+  // Keep the load factor under 1/2.
+  if (live_blocks_ * 2 >= table_.size()) rehash_table(table_.size() * 2);
   return bidx;
 }
 
@@ -169,6 +167,10 @@ void ServerTileCache::evict_lru() {
   for (;;) {
     Stamp& st = ring_[ring_head_];
     Block& b = blocks_[st.block];
+    if (st.tick < b.epoch) {
+      ++ring_head_;  // wholly stale: skipped without reading its ticks
+      continue;
+    }
     std::uint64_t tick = st.tick;
     std::uint8_t off = st.begin;
     bool evicted = false;
@@ -198,24 +200,35 @@ void ServerTileCache::evict_lru() {
 void ServerTileCache::free_block(std::uint32_t block) {
   Block& b = blocks_[block];
   std::fill(std::begin(b.ticks), std::end(b.ticks), 0);
+  b.epoch = next_tick_;
+  // Linear-probing deletion by backward shift, so no tombstone is left
+  // to lengthen probes: each later entry of the probe run moves into the
+  // hole unless its home slot lies cyclically in (hole, entry].
   const std::size_t mask = table_.size() - 1;
-  for (std::size_t i = slot_index(b.key, table_.size());; i = (i + 1) & mask) {
-    TableEntry& e = table_[i];
-    if (e.state == kStateLive && e.key == b.key) {
-      e.state = kStateTombstone;
-      break;
+  std::size_t hole = slot_index(b.key, table_.size());
+  while (!table_[hole].live || table_[hole].key != b.key) {
+    hole = (hole + 1) & mask;
+  }
+  for (std::size_t j = (hole + 1) & mask; table_[j].live; j = (j + 1) & mask) {
+    const std::size_t home = slot_index(table_[j].key, table_.size());
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      table_[hole] = table_[j];
+      hole = j;
     }
   }
+  table_[hole].live = false;
   --live_blocks_;
-  ++tombstones_;
   free_blocks_.push_back(block);
 }
 
 void ServerTileCache::maybe_compact_ring() {
   // Live stamps number at most live_blocks_ (ranges) + live_ (singles),
   // so past this threshold at least half the span is stale and one
-  // compaction pass amortizes to O(1) per touch.
-  if (ring_.size() - ring_head_ > 2 * (live_blocks_ + live_) + 1024) {
+  // compaction pass amortizes to O(1) per touch. The second test bounds
+  // the consumed prefix: without it, a walk whose stamps all die by
+  // eviction would grow the ring forever without crossing the first.
+  const std::size_t span = ring_.size() - ring_head_;
+  if (span > 2 * (live_blocks_ + live_) + 1024 || ring_head_ > span + 1024) {
     compact_ring();
   }
 }
@@ -225,6 +238,7 @@ void ServerTileCache::compact_ring() {
   for (std::size_t i = ring_head_; i < ring_.size(); ++i) {
     const Stamp& st = ring_[i];
     const Block& b = blocks_[st.block];
+    if (st.tick < b.epoch) continue;
     bool alive = false;
     std::uint64_t tick = st.tick;
     for (std::uint8_t off = st.begin; off < st.end; ++off, ++tick) {
@@ -244,12 +258,11 @@ void ServerTileCache::rehash_table(std::size_t new_size) {
   table_.assign(new_size, TableEntry{});
   const std::size_t mask = new_size - 1;
   for (const TableEntry& e : old) {
-    if (e.state != kStateLive) continue;
+    if (!e.live) continue;
     std::size_t i = slot_index(e.key, new_size);
-    while (table_[i].state != kStateEmpty) i = (i + 1) & mask;
+    while (table_[i].live) i = (i + 1) & mask;
     table_[i] = e;
   }
-  tombstones_ = 0;
 }
 
 }  // namespace cvr::content

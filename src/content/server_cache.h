@@ -23,7 +23,13 @@
 // construction and eviction pops stamps from the front, skipping stale
 // ones (id re-touched or evicted since). A whole-cell touch pushes a
 // single RANGE stamp covering its 24 consecutive ticks with a cursor
-// that eviction consumes id by id. The policy is the exact per-id LRU —
+// that eviction consumes id by id. Each block records an epoch, the
+// first tick of its latest whole-cell touch (or the tick it was freed
+// at); no live id of the block is older, so eviction and ring
+// compaction drop any stamp older than its block's epoch in O(1)
+// instead of checking its 24 offsets. A cell whose missing ids all fit
+// under capacity is stamped in one straight pass, since no eviction can
+// interleave with it. The policy is the exact per-id LRU —
 // every tile touch gets a unique tick, the eviction victim is always
 // the live id with the smallest tick, and insertions interleave with
 // evictions in the same order as a naive per-id implementation (the
@@ -72,6 +78,10 @@ class ServerTileCache {
   struct Block {
     std::uint64_t ticks[kIdsPerBlock] = {};
     std::uint64_t key = 0;    ///< Packed cell, for table maintenance.
+    /// Every live tick in the block is >= epoch: the first tick of the
+    /// block's latest whole-block pass, or next_tick_ when it was freed.
+    /// A stamp whose tick is below it is wholly stale.
+    std::uint64_t epoch = 0;
     std::uint32_t live = 0;   ///< Resident ids in this block.
   };
 
@@ -79,7 +89,7 @@ class ServerTileCache {
   struct TableEntry {
     std::uint64_t key = 0;
     std::uint32_t block = 0;
-    std::uint32_t state = 0;  ///< 0 empty, 1 tombstone, 2 live.
+    bool live = false;
   };
 
   /// One recency stamp: blocks_[block].ticks[begin..end) held the
@@ -103,14 +113,14 @@ class ServerTileCache {
   /// Evicts the live id with the smallest tick (front of the ring,
   /// skipping stale stamps).
   void evict_lru();
-  /// Returns the block's tile ids to the free list and tombstones its
+  /// Returns the block's tile ids to the free list and deletes its
   /// table entry. Ticks are zeroed so outstanding stamps go stale.
   void free_block(std::uint32_t block);
   /// Drops fully stale stamps in place (the ring stays tick-sorted).
   void compact_ring();
   void maybe_compact_ring();
   /// Re-places all live table entries into `new_size` slots (power of
-  /// two), clearing tombstones. Stamps hold block indices, not table
+  /// two); the table only grows. Stamps hold block indices, not table
   /// slots, so the ring is unaffected.
   void rehash_table(std::size_t new_size);
 
@@ -122,7 +132,6 @@ class ServerTileCache {
   std::size_t ring_head_ = 0;
   std::size_t live_ = 0;           // resident tile ids
   std::size_t live_blocks_ = 0;
-  std::size_t tombstones_ = 0;
   std::uint64_t next_tick_ = 1;    // 0 marks "not resident"
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

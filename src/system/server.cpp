@@ -373,7 +373,8 @@ double Server::mandatory_load(const std::vector<std::size_t>& members) const {
   return total;
 }
 
-TileRequest Server::make_request(std::size_t u, core::QualityLevel level) {
+void Server::make_request(std::size_t u, core::QualityLevel level,
+                          TileRequest& request) {
   UserState& user = users_.at(u);
   if (!content::is_valid_level(level)) {
     throw std::out_of_range("Server::make_request: invalid level");
@@ -386,26 +387,29 @@ TileRequest Server::make_request(std::size_t u, core::QualityLevel level) {
     user.cache_primed = true;
   }
 
-  TileRequest request;
-  request.level = level;
+  request.reset(level);
   int tile_indices[content::kTilesPerFrame];
   const int tile_count =
       content::tiles_for_view(fov_for(u), predicted, tile_indices);
-  request.full_set.reserve(static_cast<std::size_t>(tile_count));
   for (int i = 0; i < tile_count; ++i) {
     const content::TileKey key{cell, tile_indices[i], level};
     const content::VideoId id = content::pack_video_id(key);
     user.cache.lookup(id);
     request.full_set.push_back(id);
   }
-  request.tiles = config_.repetition_suppression
-                      ? user.delivered.filter_needed(request.full_set)
-                      : request.full_set;
+  if (config_.repetition_suppression) {
+    user.delivered.filter_needed(request.full_set, request.tiles);
+  } else {
+    request.tiles.assign(request.full_set.begin(), request.full_set.end());
+  }
 
-  auto set_megabits = [&](const std::vector<content::VideoId>& ids) {
+  // Megabits of ids[begin, end), summed in order.
+  auto set_megabits = [&](const std::vector<content::VideoId>& ids,
+                          std::size_t begin, std::size_t end) {
     double total = 0.0;
-    for (content::VideoId id : ids) {
-      total += content_db_.tile_size_megabits(content::unpack_video_id(id));
+    for (std::size_t k = begin; k < end; ++k) {
+      total +=
+          content_db_.tile_size_megabits(content::unpack_video_id(ids[k]));
     }
     return total;
   };
@@ -426,26 +430,28 @@ TileRequest Server::make_request(std::size_t u, core::QualityLevel level) {
     fallback.gx = std::clamp(fallback.gx, 0, content_db_.config().grid_width - 1);
     fallback.gy = std::clamp(fallback.gy, 0, content_db_.config().grid_height - 1);
     if (!(fallback == cell)) {
-      std::vector<content::VideoId> fallback_set;
-      fallback_set.reserve(static_cast<std::size_t>(tile_count));
       for (int i = 0; i < tile_count; ++i) {
-        fallback_set.push_back(
+        request.fallback_set.push_back(
             content::pack_video_id({fallback, tile_indices[i], 1}));
       }
-      const auto needed = user.delivered.filter_needed(fallback_set);
+      // The fallback tiles still needed go after the slot's own tiles;
+      // they are withdrawn again if the link lacks the headroom.
+      const std::size_t own = request.tiles.size();
+      user.delivered.filter_needed(request.fallback_set, request.tiles);
       // Insurance only when the link has headroom: never push the slot
       // past the configured fraction of the bandwidth estimate.
       const double with_fallback = cvr::megabits_to_slot_rate(
-          set_megabits(request.tiles) + set_megabits(needed));
-      if (with_fallback <= config_.fallback_headroom_fraction *
-                               user.bandwidth.estimate_mbps()) {
-        request.fallback_set = std::move(fallback_set);
-        request.tiles.insert(request.tiles.end(), needed.begin(), needed.end());
+          set_megabits(request.tiles, 0, own) +
+          set_megabits(request.tiles, own, request.tiles.size()));
+      if (!(with_fallback <= config_.fallback_headroom_fraction *
+                                 user.bandwidth.estimate_mbps())) {
+        request.tiles.resize(own);
+        request.fallback_set.clear();
       }
     }
   }
 
-  const double megabits = set_megabits(request.tiles);
+  const double megabits = set_megabits(request.tiles, 0, request.tiles.size());
   request.demand_mbps = cvr::megabits_to_slot_rate(megabits);
   if (user.pending_probe_mbps > 0.0) {
     // The probe rides the same link as the content: its traffic contends
@@ -457,16 +463,13 @@ TileRequest Server::make_request(std::size_t u, core::QualityLevel level) {
 
   // Track what fraction of the full tile set actually goes on the air
   // (repetition suppression), for the loss-aware packet estimates.
-  double full_megabits = 0.0;
-  for (content::VideoId id : request.full_set) {
-    full_megabits += content_db_.tile_size_megabits(content::unpack_video_id(id));
-  }
+  const double full_megabits =
+      set_megabits(request.full_set, 0, request.full_set.size());
   if (full_megabits > 1e-12) {
     constexpr double kFractionAlpha = 0.05;
     user.transmit_fraction +=
         kFractionAlpha * (megabits / full_megabits - user.transmit_fraction);
   }
-  return request;
 }
 
 const content::ServerTileCache& Server::cache(std::size_t u) const {

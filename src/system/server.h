@@ -133,6 +133,15 @@ struct TileRequest {
   /// user is stationary.
   std::vector<content::VideoId> fallback_set;
   double demand_mbps = 0.0;                 ///< Rate to send `tiles` this slot.
+
+  /// An empty request at `level`; the vectors keep their capacity.
+  void reset(core::QualityLevel new_level) {
+    level = new_level;
+    tiles.clear();
+    full_set.clear();
+    fallback_set.clear();
+    demand_mbps = 0.0;
+  }
 };
 
 class Server {
@@ -237,10 +246,14 @@ class Server {
   /// cells — the admission controller's committed-load input.
   double mandatory_load(const std::vector<std::size_t>& members) const;
 
-  /// Generates user `u`'s tile request at `level` for its predicted
-  /// pose: predicted-FoV tiles at that level, minus already-delivered
-  /// ones, priced via the content DB (also advances the tile cache).
-  TileRequest make_request(std::size_t u, core::QualityLevel level);
+  /// Writes user `u`'s tile request at `level` for its predicted pose
+  /// into `request`: predicted-FoV tiles at that level, minus
+  /// already-delivered ones, priced via the content DB (also advances
+  /// the tile cache). Every field is overwritten and the vectors keep
+  /// their capacity, so a recycled request makes no heap allocation in
+  /// steady state.
+  void make_request(std::size_t u, core::QualityLevel level,
+                    TileRequest& request);
 
   const content::ContentDb& content_db() const { return content_db_; }
   const content::ServerTileCache& cache(std::size_t u) const;

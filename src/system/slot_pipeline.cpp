@@ -116,6 +116,7 @@ SimRun::SimRun(const SystemSimConfig& config, std::size_t repeat,
       cap(config.users, core::kNumQualityLevels),
       member_index(config.users, 0),
       requests(config.users),
+      granted(config.users, 0.0),
       borrower_(lend_pool ? &allocator : nullptr) {
   unmargined.margin_deg = 0.0;
   allocator.reset();
@@ -251,11 +252,10 @@ void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
       if (faults.user_disconnected(u, t)) {
         // No device on the network: nothing to request, zero demand, and
         // the server's per-user caches stay untouched for the window.
-        request = TileRequest{};
-        request.level = levels[i];
+        request.reset(levels[i]);
         continue;
       }
-      request = edge.server.make_request(u, levels[i]);
+      edge.server.make_request(u, levels[i], request);
       if (telemetry != nullptr) {
         telemetry->count(telemetry::Counter::kTilesRequested,
                          request.tiles.size());
@@ -286,18 +286,17 @@ void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
   }
 }
 
-std::vector<double> serve_routers(AccessNetwork& net,
-                                  const std::vector<TileRequest>& requests,
-                                  telemetry::Collector* telemetry,
-                                  std::int64_t slot) {
-  std::vector<double> granted(requests.size(), 0.0);
-  telemetry::PhaseSpan serve_span(telemetry, telemetry::Phase::kTransport,
+const std::vector<double>& serve_routers(SimRun& run, std::int64_t slot) {
+  AccessNetwork& net = run.net;
+  std::vector<double>& granted = run.granted;
+  std::vector<double>& demands = run.router_demands;
+  std::fill(granted.begin(), granted.end(), 0.0);
+  telemetry::PhaseSpan serve_span(run.telemetry, telemetry::Phase::kTransport,
                                   telemetry::Collector::kServerPid, slot);
   for (std::size_t r = 0; r < net.routers.size(); ++r) {
-    std::vector<double> demands;
-    demands.reserve(net.router_users[r].size());
+    demands.clear();
     for (std::size_t u : net.router_users[r]) {
-      demands.push_back(requests[u].demand_mbps);
+      demands.push_back(run.requests[u].demand_mbps);
     }
     const auto grants = net.routers[r].serve(demands);
     for (std::size_t i = 0; i < net.router_users[r].size(); ++i) {

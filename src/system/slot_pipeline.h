@@ -98,8 +98,13 @@ class SimRun {
   std::vector<core::QualityLevel> cap;
   /// Each served user's index into its server's problem and allocation.
   std::vector<std::size_t> member_index;
-  /// This slot's tile request per user.
+  /// This slot's tile request per user, rewritten in place each slot.
   std::vector<TileRequest> requests;
+  // Written by serve_routers, after every step_server of the slot.
+  /// This slot's router grant per user.
+  std::vector<double> granted;
+  /// Per-router demand gather scratch, recycled across slots.
+  std::vector<double> router_demands;
 
  private:
   core::Allocator* borrower_;  ///< The allocator lent pool_, if any.
@@ -135,12 +140,10 @@ void step_routers(AccessNetwork& net, const faults::FaultSchedule& faults,
 void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
                  std::size_t t);
 
-/// Router service for the slot: per-router demand gather, serve, and
-/// grant scatter back to user indexing.
-std::vector<double> serve_routers(AccessNetwork& net,
-                                  const std::vector<TileRequest>& requests,
-                                  telemetry::Collector* telemetry,
-                                  std::int64_t slot);
+/// Router service for the slot: per-router gather of run.requests'
+/// demands, serve, and grant scatter back to user indexing. Writes and
+/// returns run.granted.
+const std::vector<double>& serve_routers(SimRun& run, std::int64_t slot);
 
 /// Serves member `u` of `edge` its slot t, given the router's grant. A
 /// disconnected user goes through serve_absent_user. A connected one

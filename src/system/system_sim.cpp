@@ -1,5 +1,6 @@
 #include "src/system/system_sim.h"
 
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -47,6 +48,26 @@ void validate(const SystemSimConfig& config) {
     throw std::invalid_argument(
         "SystemSimConfig.pose_upload_period: must be positive");
   }
+  if (!std::isfinite(config.router_aggregate_mbps) ||
+      config.router_aggregate_mbps <= 0.0) {
+    throw std::invalid_argument(
+        "SystemSimConfig.router_aggregate_mbps: must be finite and positive");
+  }
+  const auto require_finite_non_negative = [](double value,
+                                              const std::string& field) {
+    if (!std::isfinite(value) || value < 0.0) {
+      throw std::invalid_argument("SystemSimConfig." + field +
+                                  ": must be finite and non-negative");
+    }
+  };
+  for (std::size_t i = 0; i < config.throttle_pool_mbps.size(); ++i) {
+    require_finite_non_negative(config.throttle_pool_mbps[i],
+                                "throttle_pool_mbps[" + std::to_string(i) + "]");
+  }
+  require_finite_non_negative(config.bandwidth_measurement_sigma,
+                              "bandwidth_measurement_sigma");
+  require_finite_non_negative(config.delay_accounting_cap_ms,
+                              "delay_accounting_cap_ms");
 }
 
 SystemSim::SystemSim(SystemSimConfig config) : config_(std::move(config)) {
@@ -80,8 +101,7 @@ std::vector<sim::UserOutcome> SystemSim::run(
     if (faults.cache_flush_at(t)) edge.server.flush_caches();
 
     step_server(run, edge, allocator, t);
-    const std::vector<double> granted =
-        serve_routers(run.net, run.requests, telemetry, slot);
+    const std::vector<double>& granted = serve_routers(run, slot);
     for (std::size_t u = 0; u < config_.users; ++u) {
       serve_member(run, edge, u, t, granted[u]);
     }

@@ -111,9 +111,11 @@ struct SystemSimConfig {
 };
 
 /// Rejects a config no run can use, naming the field in the message:
-/// zero users, routers or slots, an empty throttle pool, or a zero pose
-/// upload period. SystemSim and fleet::FleetSim both call it on
-/// construction.
+/// zero users, routers or slots, an empty throttle pool, a zero pose
+/// upload period, a non-finite or non-positive router_aggregate_mbps, or
+/// a non-finite or negative throttle_pool_mbps entry,
+/// bandwidth_measurement_sigma or delay_accounting_cap_ms. SystemSim and
+/// fleet::FleetSim both call it on construction.
 void validate(const SystemSimConfig& config);
 
 /// Convenience constructors for the paper's two setups.

@@ -35,10 +35,19 @@ TEST(DeliveredTileTracker, ReleaseMakesRetransmittable) {
 TEST(DeliveredTileTracker, FilterNeededKeepsOrder) {
   DeliveredTileTracker tracker;
   tracker.mark_delivered(id(2));
-  const auto needed = tracker.filter_needed({id(1), id(2), id(3)});
+  std::vector<VideoId> needed;
+  tracker.filter_needed({id(1), id(2), id(3)}, needed);
   ASSERT_EQ(needed.size(), 2u);
   EXPECT_EQ(needed[0], id(1));
   EXPECT_EQ(needed[1], id(3));
+}
+
+TEST(DeliveredTileTracker, FilterNeededAppendsAfterExistingIds) {
+  DeliveredTileTracker tracker;
+  tracker.mark_delivered(id(5));
+  std::vector<VideoId> needed = {id(9)};
+  tracker.filter_needed({id(4), id(5), id(6)}, needed);
+  EXPECT_EQ(needed, (std::vector<VideoId>{id(9), id(4), id(6)}));
 }
 
 TEST(DeliveredTileTracker, ReleaseUnknownIsNoop) {

@@ -14,9 +14,11 @@
 #include <cmath>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/dv_greedy.h"
@@ -582,6 +584,57 @@ TEST(FleetConfigValidation, BaseErrorsNameTheFieldInBothEngines) {
     expect_named([&] { system::SystemSim sim(config.base); }, field);
     expect_named([&] { fleet::FleetSim sim(config); }, field);
   }
+}
+
+TEST(SystemSimConfig, NumericFieldsNameTheField) {
+  // Each of these used to leak into the run: NaN aggregates threw only
+  // mid-run from Server without naming a field, the others silently
+  // produced NaN or changed results. Both engines must now refuse them
+  // at construction, naming the field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Corrupt = std::function<void(system::SystemSimConfig&, double)>;
+  const std::vector<std::tuple<std::string, Corrupt, std::vector<double>>>
+      cases = {
+          {"SystemSimConfig.router_aggregate_mbps",
+           [](auto& c, double v) { c.router_aggregate_mbps = v; },
+           {nan, inf, -inf, -1.0, 0.0}},
+          {"SystemSimConfig.throttle_pool_mbps[1]",
+           [](auto& c, double v) { c.throttle_pool_mbps = {40.0, v, 50.0}; },
+           {nan, inf, -inf, -5.0}},
+          {"SystemSimConfig.bandwidth_measurement_sigma",
+           [](auto& c, double v) { c.bandwidth_measurement_sigma = v; },
+           {nan, inf, -inf, -0.1}},
+          {"SystemSimConfig.delay_accounting_cap_ms",
+           [](auto& c, double v) { c.delay_accounting_cap_ms = v; },
+           {nan, inf, -inf, -1.0}},
+      };
+  const auto expect_named = [](const std::function<void()>& construct,
+                               const std::string& field, double value) {
+    try {
+      construct();
+      ADD_FAILURE() << field << " = " << value << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(field + ":", 0), 0u)
+          << error.what();
+    }
+  };
+  for (const auto& [field, corrupt, values] : cases) {
+    for (double value : values) {
+      fleet::FleetConfig config;
+      config.base = system::setup_one_router(2);
+      config.base.slots = 50;
+      corrupt(config.base, value);
+      expect_named([&] { system::SystemSim sim(config.base); }, field, value);
+      expect_named([&] { fleet::FleetSim sim(config); }, field, value);
+    }
+  }
+  // The boundary values stay legal: zero throttle, zero noise, zero cap.
+  system::SystemSimConfig edge = system::setup_one_router(2);
+  edge.throttle_pool_mbps = {0.0, 40.0};
+  edge.bandwidth_measurement_sigma = 0.0;
+  edge.delay_accounting_cap_ms = 0.0;
+  EXPECT_NO_THROW(system::SystemSim{edge});
 }
 
 // ---------------------------------------------------------------------

@@ -11,6 +11,14 @@ ServerConfig small_config() {
   return config;
 }
 
+/// make_request into a fresh TileRequest.
+TileRequest request_for(Server& server, std::size_t u,
+                        core::QualityLevel level) {
+  TileRequest request;
+  server.make_request(u, level, request);
+  return request;
+}
+
 TEST(Server, RejectsZeroUsers) {
   EXPECT_THROW(Server(small_config(), 0), std::invalid_argument);
 }
@@ -90,7 +98,7 @@ TEST(Server, FallbackPrefetchAddsNextCellTiles) {
     server.on_pose(0, t, p);
     server.on_bandwidth_sample(0, 100.0);
   }
-  const TileRequest request = server.make_request(0, 4);
+  const TileRequest request = request_for(server, 0, 4);
   ASSERT_FALSE(request.fallback_set.empty());
   const content::TileKey main_key =
       content::unpack_video_id(request.full_set.front());
@@ -114,7 +122,7 @@ TEST(Server, FallbackPrefetchSkipsStationaryUser) {
     server.on_pose(0, t, p);
     server.on_bandwidth_sample(0, 100.0);
   }
-  const TileRequest request = server.make_request(0, 3);
+  const TileRequest request = request_for(server, 0, 3);
   EXPECT_TRUE(request.fallback_set.empty());
 }
 
@@ -129,7 +137,7 @@ TEST(Server, FallbackPrefetchGatedWhenNoHeadroom) {
     server.on_pose(0, t, p);
     server.on_bandwidth_sample(0, 25.0);  // tight link
   }
-  const TileRequest request = server.make_request(0, 4);
+  const TileRequest request = request_for(server, 0, 4);
   EXPECT_TRUE(request.fallback_set.empty());  // insurance skipped
 }
 
@@ -141,7 +149,7 @@ TEST(Server, MakeRequestReturnsPredictedFovTiles) {
   p.yaw = -90.0;
   p.pitch = 40.0;
   server.on_pose(0, 0, p);
-  const TileRequest request = server.make_request(0, 4);
+  const TileRequest request = request_for(server, 0, 4);
   EXPECT_EQ(request.level, 4);
   EXPECT_FALSE(request.full_set.empty());
   EXPECT_EQ(request.tiles.size(), request.full_set.size());  // nothing delivered yet
@@ -157,9 +165,9 @@ TEST(Server, RepetitionSuppressionShrinksSecondRequest) {
   p.x = 5.0;
   p.y = 4.0;
   server.on_pose(0, 0, p);
-  const TileRequest first = server.make_request(0, 3);
+  const TileRequest first = request_for(server, 0, 3);
   server.on_delivery_acks(0, first.tiles);
-  const TileRequest second = server.make_request(0, 3);
+  const TileRequest second = request_for(server, 0, 3);
   EXPECT_TRUE(second.tiles.empty());
   EXPECT_DOUBLE_EQ(second.demand_mbps, 0.0);
   EXPECT_EQ(second.full_set.size(), first.full_set.size());
@@ -171,10 +179,10 @@ TEST(Server, ReleaseAcksReenableTransmission) {
   p.x = 5.0;
   p.y = 4.0;
   server.on_pose(0, 0, p);
-  const TileRequest first = server.make_request(0, 3);
+  const TileRequest first = request_for(server, 0, 3);
   server.on_delivery_acks(0, first.tiles);
   server.on_release_acks(0, first.tiles);
-  const TileRequest third = server.make_request(0, 3);
+  const TileRequest third = request_for(server, 0, 3);
   EXPECT_EQ(third.tiles.size(), first.tiles.size());
 }
 
@@ -184,16 +192,54 @@ TEST(Server, LevelChangeRequiresRetransmission) {
   p.x = 5.0;
   p.y = 4.0;
   server.on_pose(0, 0, p);
-  const TileRequest q3 = server.make_request(0, 3);
+  const TileRequest q3 = request_for(server, 0, 3);
   server.on_delivery_acks(0, q3.tiles);
-  const TileRequest q4 = server.make_request(0, 4);
+  const TileRequest q4 = request_for(server, 0, 4);
   EXPECT_EQ(q4.tiles.size(), q4.full_set.size());
+}
+
+TEST(Server, RecycledRequestMatchesFreshRequest) {
+  // Two identical servers see identical inputs. One writes every slot's
+  // request into the same TileRequest, the other into a fresh one; the
+  // recycled request must carry nothing over. The walk crosses cells,
+  // the fallback prefetch is on (its needed tiles append to `tiles` and
+  // are withdrawn again when the headroom check fails), and delivery
+  // ACKs make the repetition filter drop tiles.
+  ServerConfig config = small_config();
+  config.fallback_prefetch = true;
+  Server recycled_server(config, 1);
+  Server fresh_server(config, 1);
+  TileRequest recycled;
+  for (std::size_t t = 0; t < 80; ++t) {
+    motion::Pose p;
+    p.x = 5.0 + 0.02 * static_cast<double>(t);
+    p.y = 4.0 + 0.01 * static_cast<double>(t % 7);
+    p.yaw = 7.0 * static_cast<double>(t);
+    // The bandwidth estimate swings across the fallback's headroom bar.
+    const double mbps = t % 10 < 5 ? 400.0 : 2.0;
+    for (Server* server : {&recycled_server, &fresh_server}) {
+      server->on_pose(0, t, p);
+      server->on_bandwidth_sample(0, mbps);
+    }
+    const auto level = static_cast<core::QualityLevel>(1 + t % 6);
+    recycled_server.make_request(0, level, recycled);
+    const TileRequest fresh = request_for(fresh_server, 0, level);
+    EXPECT_EQ(recycled.level, fresh.level) << "slot " << t;
+    EXPECT_EQ(recycled.tiles, fresh.tiles) << "slot " << t;
+    EXPECT_EQ(recycled.full_set, fresh.full_set) << "slot " << t;
+    EXPECT_EQ(recycled.fallback_set, fresh.fallback_set) << "slot " << t;
+    EXPECT_EQ(recycled.demand_mbps, fresh.demand_mbps) << "slot " << t;
+    if (t % 3 == 0) {
+      recycled_server.on_delivery_acks(0, recycled.tiles);
+      fresh_server.on_delivery_acks(0, fresh.tiles);
+    }
+  }
 }
 
 TEST(Server, MakeRequestRejectsBadLevel) {
   Server server(small_config(), 1);
-  EXPECT_THROW(server.make_request(0, 0), std::out_of_range);
-  EXPECT_THROW(server.make_request(0, 7), std::out_of_range);
+  EXPECT_THROW(request_for(server, 0, 0), std::out_of_range);
+  EXPECT_THROW(request_for(server, 0, 7), std::out_of_range);
 }
 
 TEST(Server, DelaySamplesTrainPredictor) {
@@ -220,7 +266,7 @@ TEST(Server, CacheAdvancesWithRequests) {
   p.x = 5.0;
   p.y = 4.0;
   server.on_pose(0, 0, p);
-  server.make_request(0, 3);
+  request_for(server, 0, 3);
   EXPECT_GT(server.cache(0).size(), 0u);
 }
 
@@ -266,7 +312,7 @@ TEST(Server, TransmitFractionLearnsRepetitionSavings) {
   server.on_pose(0, 0, p);
   for (int i = 0; i < 100; ++i) server.on_bandwidth_sample(0, 60.0);
   for (int i = 0; i < 60; ++i) {
-    const TileRequest request = server.make_request(0, 3);
+    const TileRequest request = request_for(server, 0, 3);
     server.on_delivery_acks(0, request.tiles);
     server.on_loss_sample(0, 0.5, 0.02);
   }
@@ -285,9 +331,9 @@ TEST(Server, RepetitionSuppressionOffResendsEverything) {
   p.x = 5.0;
   p.y = 4.0;
   server.on_pose(0, 0, p);
-  const TileRequest first = server.make_request(0, 3);
+  const TileRequest first = request_for(server, 0, 3);
   server.on_delivery_acks(0, first.tiles);
-  const TileRequest second = server.make_request(0, 3);
+  const TileRequest second = request_for(server, 0, 3);
   EXPECT_EQ(second.tiles.size(), second.full_set.size());
   EXPECT_GT(second.demand_mbps, 0.0);
 }

@@ -1,6 +1,7 @@
 // SlotArena reuse semantics and the zero-allocation contract of the
-// per-slot hot path (ISSUE 5 acceptance criterion: steady-state sim
-// loop performs zero heap allocations per slot in the allocator path).
+// per-slot hot path: in steady state, the allocator path and the
+// system slot's delay refit, tile cache, problem build and tile
+// requests perform zero heap allocations per slot.
 //
 // The counting allocator below replaces the global operator new/delete
 // for THIS binary only and counts every heap allocation; the zero-alloc
@@ -8,17 +9,23 @@
 // assert the count stays flat across subsequent slots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <vector>
 
 #include "src/content/rate_function.h"
+#include "src/content/server_cache.h"
 #include "src/core/dv_greedy.h"
 #include "src/core/firefly.h"
 #include "src/core/htable.h"
 #include "src/core/pavq.h"
 #include "src/core/slot_arena.h"
+#include "src/net/estimators.h"
+#include "src/system/server.h"
+#include "src/util/rng.h"
 #include "tests/core_test_util.h"
 
 namespace {
@@ -220,6 +227,99 @@ TEST(ZeroAllocation, HTableSetIncrementalRebuildSteadyState) {
     tables.build(*problem);  // fully-clean rebuild: nothing dirty
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
+}
+
+/// Runs `slot(t)` for t in [0, warm_up) and then over 10 steady-state
+/// slots, and returns the heap allocations of those 10 slots.
+template <typename SlotFn>
+std::size_t steady_state_allocations(std::size_t warm_up, SlotFn&& slot) {
+  for (std::size_t t = 0; t < warm_up; ++t) slot(t);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t t = warm_up; t < warm_up + 10; ++t) slot(t);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(ZeroAllocation, DelayPredictorSteadyState) {
+  // Every slot delivers, so every slot adds a sample and refits the
+  // quadratic over the full 256-sample ring before pricing six levels.
+  net::DelayPredictor delay;
+  cvr::Rng rng(41);
+  double sink = 0.0;
+  const std::size_t allocations = steady_state_allocations(600, [&](auto) {
+    const double rate = rng.uniform(1.0, 60.0);
+    delay.observe(rate, 0.5 + 0.003 * rate * rate + rng.uniform(0.0, 0.4));
+    for (int q = 1; q <= 6; ++q) sink += delay.predict_ms(8.0 * q, 70.0);
+  });
+  EXPECT_TRUE(delay.trained());
+  EXPECT_GT(sink, 0.0);
+  EXPECT_EQ(allocations, 0u) << "heap allocations in 10 steady-state slots";
+}
+
+TEST(ZeroAllocation, ServerTileCacheAtCapacitySteadyState) {
+  // A random walk inside a 40 x 40-cell room with room for three
+  // windows: every slot advances the window (evicting, freeing and
+  // reusing blocks, compacting the ring) and looks tiles up around it.
+  // The stamp ring and the block free list reach their high-water
+  // capacity about 4000 slots into this walk; none allocates after that
+  // (checked out to 60000 slots).
+  content::ServerCacheConfig config;
+  config.capacity_tiles = 3 * 81 * 24;
+  config.window_radius_cells = 4;
+  content::ServerTileCache cache(config);
+  cvr::Rng rng(43);
+  content::GridCell center{20, 20};
+  const std::size_t allocations = steady_state_allocations(6000, [&](auto) {
+    center.gx = std::clamp(
+        center.gx + static_cast<std::int32_t>(rng.uniform_int(-1, 1)), 0, 39);
+    center.gy = std::clamp(
+        center.gy + static_cast<std::int32_t>(rng.uniform_int(-1, 1)), 0, 39);
+    cache.advance(center);
+    for (int k = 0; k < 8; ++k) {
+      const content::GridCell cell{
+          center.gx + static_cast<std::int32_t>(rng.uniform_int(-5, 5)),
+          center.gy + static_cast<std::int32_t>(rng.uniform_int(-5, 5))};
+      cache.lookup(content::pack_video_id(
+          {cell, static_cast<int>(rng.uniform_int(0, 3)),
+           static_cast<QualityLevel>(rng.uniform_int(1, 6))}));
+    }
+  });
+  EXPECT_EQ(cache.size(), config.capacity_tiles);
+  EXPECT_EQ(allocations, 0u) << "heap allocations in 10 steady-state slots";
+}
+
+TEST(ZeroAllocation, ServerBuildAndRequestSteadyState) {
+  // A 15-user server through the estimate -> problem -> request part of
+  // a slot: pose, delay and bandwidth feedback, build_problem_for into a
+  // recycled problem, and make_request into recycled requests. Users
+  // sway across a few cells, so windows advance and delay fits refit.
+  constexpr std::size_t kUsers = 15;
+  system::Server server(system::ServerConfig{}, kUsers);
+  std::vector<std::size_t> members(kUsers);
+  std::iota(members.begin(), members.end(), std::size_t{0});
+  SlotProblem problem;
+  std::vector<system::TileRequest> requests(kUsers);
+  cvr::Rng rng(47);
+  const std::size_t allocations = steady_state_allocations(400, [&](auto t) {
+    const double phase = static_cast<double>(t % 16);
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      motion::Pose pose;
+      pose.x = 1.0 + 0.5 * static_cast<double>(u) + 0.01 * phase;
+      pose.y = 2.0 + 0.005 * phase;
+      pose.yaw = 10.0 * phase;
+      server.on_pose(u, t, pose);
+      const double rate = rng.uniform(5.0, 50.0);
+      server.on_delay_sample(u, rate, 0.002 * rate * rate);
+      server.on_bandwidth_sample(u, rng.uniform(40.0, 60.0));
+    }
+    server.build_problem_for(t + 1, members, problem);
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      const auto level = static_cast<QualityLevel>(1 + (t + u) % 6);
+      server.make_request(u, level, requests[u]);
+    }
+  });
+  EXPECT_EQ(problem.users.size(), kUsers);
+  EXPECT_FALSE(requests[0].full_set.empty());
+  EXPECT_EQ(allocations, 0u) << "heap allocations in 10 steady-state slots";
 }
 
 }  // namespace
