@@ -16,19 +16,14 @@
 //                         (the resilience CSV carries the fleet
 //                         home_server/migrations columns);
 //   * --perf-out=PATH   — additionally writes a cvr-bench-perf-v1
-//                         baseline with four *fixed* arms: sharded and
+//                         baseline with three *fixed* arms: sharded and
 //                         mirrored at the K=4 crash-1 scenario, plus
-//                         sharded_k8_serial / sharded_k8 (the same
-//                         crash at K=8, 24 users, threads=1 vs
-//                         threads=0) — all independent of the other
-//                         flags, so the committed
-//                         BENCH_fleet_failover.json stays comparable
-//                         across invocations. Each arm carries a
-//                         synthetic fleet_slots_per_sec phase next to
-//                         the per-slot "slot" latency histogram, and
-//                         the two K=8 arms must agree on every counter
-//                         bit-exactly (the serial/parallel equivalence
-//                         contract) or the baseline is not written.
+//                         sharded_k8 (the same crash at K=8, 24 users)
+//                         — all independent of the other flags, so the
+//                         committed BENCH_fleet_failover.json stays
+//                         comparable across invocations. Each arm
+//                         carries a synthetic fleet_slots_per_sec phase
+//                         next to the per-slot "slot" latency histogram.
 //                         scripts/perf_gate.py gates wall-clock ratios
 //                         with --normalize-by sharded and the
 //                         deterministic fleet_ counters bit-exactly
@@ -64,7 +59,6 @@ struct Options {
   std::int64_t users = 12;
   std::int64_t slots = 500;
   std::int64_t seed = 2022;
-  std::int64_t threads = 1;
   std::int64_t crash_server = 1;
   std::int64_t crash_slot = 150;
   std::int64_t crash_duration = 300;
@@ -108,8 +102,6 @@ fleet::FleetConfig make_config(const Options& options) {
   config.servers = static_cast<std::size_t>(options.servers);
   config.assignment = parse_assignment(options.assignment);
   config.budget = parse_budget(options.budget);
-  config.threads =
-      options.threads < 0 ? 0 : static_cast<std::size_t>(options.threads);
   return config;
 }
 
@@ -263,32 +255,6 @@ telemetry::ArmPerf measure_arm(const std::string& name,
   return arm;
 }
 
-/// The bench-level half of the serial/parallel equivalence contract:
-/// every counter in the snapshot (fleet_ failover metrics, allocator
-/// work, system traffic) is a pure function of (config, seed), so the
-/// threads knob must not move a single one. Throws on any drift —
-/// a baseline must never be written from a diverging build.
-void expect_identical_counters(const telemetry::ArmPerf& serial,
-                               const telemetry::ArmPerf& parallel) {
-  if (serial.snapshot.counters == parallel.snapshot.counters) return;
-  std::fprintf(stderr,
-               "fleet_failover: counter drift between %s and %s\n",
-               serial.algorithm.c_str(), parallel.algorithm.c_str());
-  for (const auto& [name, value] : serial.snapshot.counters) {
-    const auto it = parallel.snapshot.counters.find(name);
-    if (it == parallel.snapshot.counters.end()) {
-      std::fprintf(stderr, "  %s: %llu -> (missing)\n", name.c_str(),
-                   static_cast<unsigned long long>(value));
-    } else if (it->second != value) {
-      std::fprintf(stderr, "  %s: %llu -> %llu\n", name.c_str(),
-                   static_cast<unsigned long long>(value),
-                   static_cast<unsigned long long>(it->second));
-    }
-  }
-  throw std::runtime_error(
-      "fleet_failover: parallel run diverged from serial (see stderr)");
-}
-
 void write_perf_baseline(const Options& options) {
   telemetry::PerfReport perf;
   perf.mode = telemetry::Mode::kCounters;
@@ -297,22 +263,13 @@ void write_perf_baseline(const Options& options) {
     arm_options.assignment = mode;
     perf.arms.push_back(measure_arm(mode, make_config(arm_options)));
   }
-  // Fixed K=8 scale arms (the ROADMAP's "K servers x per-server
+  // Fixed K=8 scale arm (the ROADMAP's "K servers x per-server
   // throughput" axis): same crash scenario, doubled fleet and user
-  // population. The serial arm pins the reference schedule; the
-  // parallel arm runs with threads=0 (all hardware threads) and must
-  // reproduce every counter bit-exactly — checked here before the
-  // baseline is written, and again in CI where the forced-serial leg
-  // (CVR_FLEET_THREADS=1) re-measures both arms against this file.
+  // population.
   Options k8;
   k8.servers = 8;
   k8.users = 24;
-  k8.threads = 1;
-  perf.arms.push_back(measure_arm("sharded_k8_serial", make_config(k8)));
-  k8.threads = 0;
   perf.arms.push_back(measure_arm("sharded_k8", make_config(k8)));
-  expect_identical_counters(perf.arms[perf.arms.size() - 2],
-                            perf.arms[perf.arms.size() - 1]);
   telemetry::write_perf_json(options.perf_out, perf, "fleet_failover",
                              options.machine);
   std::printf("perf baseline written: %s\n", options.perf_out.c_str());
@@ -340,9 +297,6 @@ int main(int argc, char** argv) {
   parser.add("users", &options.users, "connected users (two routers)");
   parser.add("slots", &options.slots, "run horizon (slots)");
   parser.add("seed", &options.seed, "master seed");
-  parser.add("threads", &options.threads,
-             "fleet slot workers (0 = all hardware threads, 1 = serial; "
-             "results are bit-identical either way)");
   parser.add("crash-server", &options.crash_server,
              "server id killed by the scenario");
   parser.add("crash-slot", &options.crash_slot, "slot the crash lands on");

@@ -2,7 +2,6 @@
 // (5)-(7) and the common contract every policy implements.
 #pragma once
 
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -97,24 +96,6 @@ class Allocator {
   /// must stay bit-identical to the serial path — parallelism is an
   /// execution detail, never a semantic knob.
   virtual void set_thread_pool(cvr::ThreadPool* /*pool*/) {}
-
-  /// True iff allocate() is a pure function of its argument: no
-  /// cross-slot state feeds the result (scratch buffers that every call
-  /// fully overwrites do not count as state). The fleet's parallel slot
-  /// execution (docs/fleet.md) asks this before handing clone()d
-  /// instances to per-server tasks; a stateful allocator (dv-warm's
-  /// carried warm start, Firefly's LRU queue) answers false and keeps
-  /// the serial schedule. Default: false — opting IN to parallel use is
-  /// the safe direction.
-  virtual bool stateless() const { return false; }
-
-  /// A fresh allocator configured like this one (same policy knobs,
-  /// cold scratch). Used together with stateless(): clones solve
-  /// different servers' problems concurrently, so for a stateless
-  /// allocator every clone returns bit-identical allocations to the
-  /// original fed the same problems. Returns nullptr when cloning is
-  /// unsupported (the fleet then falls back to serial execution).
-  virtual std::unique_ptr<Allocator> clone() const { return nullptr; }
 };
 
 }  // namespace cvr::core

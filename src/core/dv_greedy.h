@@ -106,20 +106,6 @@ class DvGreedyAllocator final : public Allocator {
   /// cold from all-ones.
   void reset() override { prev_levels_.clear(); }
 
-  /// Cold-start dv-greedy is a pure function of the slot problem: the
-  /// tables, scratch, and heap are fully overwritten every call. The
-  /// warm-start ablation carries prev_levels_ across slots and is NOT
-  /// stateless — the fleet keeps it on the serial schedule.
-  bool stateless() const override { return !warm_start_; }
-
-  /// Same mode/strategy/warm-start knobs, cold scratch. The clone does
-  /// NOT inherit the thread pool or the parallel threshold: clones are
-  /// handed to per-server fleet tasks where the outer fan-out already
-  /// owns the pool (docs/fleet.md's no-oversubscription policy).
-  std::unique_ptr<Allocator> clone() const override {
-    return std::make_unique<DvGreedyAllocator>(mode_, strategy_, warm_start_);
-  }
-
  private:
   enum class Rank { kDensity, kValue };
 

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <future>
-#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/proto/messages.h"
 #include "src/system/slot_pipeline.h"
-#include "src/util/thread_pool.h"
 
 namespace cvr::fleet {
 
@@ -29,45 +26,39 @@ void count_fleet(telemetry::Collector* telemetry, telemetry::Counter counter,
   if (telemetry != nullptr) telemetry->count(counter, delta);
 }
 
-/// The effective worker count for the per-server steps: the config
-/// knob, overridden by CVR_FLEET_THREADS when set to a parseable value
-/// (the CI forced-serial leg exports CVR_FLEET_THREADS=1 the same way
-/// CVR_FORCE_SCALAR forces the scalar SIMD backend).
-std::size_t resolve_fleet_threads(std::size_t configured) {
-  const char* env = std::getenv("CVR_FLEET_THREADS");
-  if (env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') {
-      configured = static_cast<std::size_t>(value);
-    }
-  }
-  return configured == 1 ? 1 : cvr::resolve_thread_count(configured);
-}
-
 }  // namespace
 
 FleetSim::FleetSim(FleetConfig config) : config_(std::move(config)) {
   if (config_.servers == 0) {
-    throw std::invalid_argument("FleetConfig: zero servers");
+    throw std::invalid_argument("FleetConfig.servers: must be positive");
   }
   if (config_.ring_vnodes == 0) {
-    throw std::invalid_argument("FleetConfig: zero ring vnodes");
+    throw std::invalid_argument("FleetConfig.ring_vnodes: must be positive");
   }
   if (config_.checkpoint_period_slots == 0) {
-    throw std::invalid_argument("FleetConfig: zero checkpoint period");
+    throw std::invalid_argument(
+        "FleetConfig.checkpoint_period_slots: must be positive");
   }
   if (config_.ramp_slots_per_level == 0) {
-    throw std::invalid_argument("FleetConfig: zero ramp period");
+    throw std::invalid_argument(
+        "FleetConfig.ramp_slots_per_level: must be positive");
   }
   if (!std::isfinite(config_.backhaul_mbps) || config_.backhaul_mbps < 0.0) {
-    throw std::invalid_argument("FleetConfig: invalid backhaul budget");
+    throw std::invalid_argument(
+        "FleetConfig.backhaul_mbps: must be finite and non-negative");
+  }
+  if (config_.threads != 1) {
+    throw std::invalid_argument(
+        "FleetConfig.threads: must be 1 (the across-server fan-out was "
+        "removed)");
   }
   validate(config_.backoff);
-  for (const PlannedMigration& pm : config_.planned_migrations) {
+  for (std::size_t i = 0; i < config_.planned_migrations.size(); ++i) {
+    const PlannedMigration& pm = config_.planned_migrations[i];
     if (pm.user >= config_.base.users || pm.to_server >= config_.servers ||
         pm.slot >= config_.base.slots) {
-      throw std::invalid_argument("FleetConfig: planned migration out of range");
+      throw std::invalid_argument("FleetConfig.planned_migrations[" +
+                                  std::to_string(i) + "]: out of range");
     }
   }
   system::validate(config_.base);
@@ -80,42 +71,7 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
   const std::size_t n_users = base.users;
   const std::size_t n_servers = config_.servers;
 
-  // Across-server parallelism (docs/fleet.md): the per-server steps of
-  // a slot fan out onto a shared pool, one task per server, drained in
-  // server-index order. Requires per-server allocator instances — a
-  // stateless allocator is cloned once per server (each clone sees one
-  // server's problem stream, exactly what the serial schedule feeds a
-  // dedicated server). A stateful or unclonable allocator keeps the
-  // serial schedule: its cross-slot state depends on the interleaved
-  // problem order only the serial loop reproduces. `pool` is declared
-  // before `clones`, so it outlives every allocator it is lent to.
-  const std::size_t fleet_threads = resolve_fleet_threads(config_.threads);
-  std::unique_ptr<cvr::ThreadPool> pool;
-  std::vector<std::unique_ptr<core::Allocator>> clones;
-  if (fleet_threads != 1 && n_servers > 1 && allocator.stateless()) {
-    clones.reserve(n_servers);
-    bool cloneable = true;
-    for (std::size_t k = 0; k < n_servers && cloneable; ++k) {
-      clones.push_back(allocator.clone());
-      cloneable = clones.back() != nullptr;
-    }
-    if (cloneable) {
-      pool = std::make_unique<cvr::ThreadPool>(fleet_threads);
-      // One shared pool, no nested oversubscription: clones may use it
-      // for within-slot parallelism, but a nested submit from inside an
-      // outer per-server task runs inline (ThreadPool's nesting
-      // policy), so the outer fan-out always wins while it is active.
-      for (auto& clone : clones) clone->set_thread_pool(pool.get());
-    } else {
-      clones.clear();
-    }
-  }
-
-  // The serial schedule lends `allocator` the allocator_threads pool,
-  // exactly as SystemSim does; under the fan-out `allocator` solves
-  // nothing and the clones keep the fan-out pool.
-  system::SimRun run(base, repeat, allocator, /*lend_pool=*/pool == nullptr,
-                     timeline, telemetry);
+  system::SimRun run(base, repeat, allocator, timeline, telemetry);
   telemetry = run.telemetry;
 
   // Every server carries slots for all users: a user's state lives at
@@ -411,23 +367,16 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
       }
     }
 
-    // ---- Per-server steps. Every write in a step is owned by exactly
-    // one server — its own EdgeServer, its members' lanes in `run`, its
-    // per_server stats row — and the only shared sinks are telemetry
-    // counters (integer sums, order-independent). No shared-RNG draw
-    // happens in a step, which is what makes the fan-out bit-identical
-    // to the serial schedule (docs/fleet.md; pinned by ParallelFleet).
-    // Orphaned/lost users have no serving server: an idle request at
-    // the mandatory floor, written here so a step only ever touches its
-    // own members' lanes.
+    // ---- Per-server steps, in server-index order. Orphaned/lost users
+    // have no serving server: an idle request at the mandatory floor.
     for (std::size_t u = 0; u < n_users; ++u) {
       if (orphan[u] || lost[u]) run.requests[u].reset(1);
     }
-    const auto server_task = [&](std::size_t k, core::Allocator& alloc) {
+    for (std::size_t k = 0; k < n_servers; ++k) {
       system::EdgeServer& edge = edges[k];
       budget_sum[k] += edge.budget;
-      system::step_server(run, edge, alloc, t);
-      if (edge.members.empty()) return;
+      system::step_server(run, edge, allocator, t);
+      if (edge.members.empty()) continue;
       // Per-server accounting: allocated load vs the slot's budget.
       stats.per_server[k].served_user_slots += edge.members.size();
       if (edge.budget > 0.0) {
@@ -441,20 +390,6 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
         util_sum[k] += allocated / edge.budget;
         util_slots[k] += 1;
       }
-    };
-
-    if (pool != nullptr) {
-      // Fan out, then drain in server-index order so the first (lowest
-      // k) exception wins — the same exception surface as serial.
-      std::vector<std::future<void>> tasks;
-      tasks.reserve(n_servers);
-      for (std::size_t k = 0; k < n_servers; ++k) {
-        tasks.push_back(pool->submit(
-            [&server_task, &clones, k] { server_task(k, *clones[k]); }));
-      }
-      for (auto& task : tasks) task.get();
-    } else {
-      for (std::size_t k = 0; k < n_servers; ++k) server_task(k, allocator);
     }
 
     const std::vector<double>& granted = system::serve_routers(run, slot);

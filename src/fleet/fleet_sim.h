@@ -98,18 +98,10 @@ struct FleetConfig {
   /// ramp, same mechanism as the load service's degrade ladder).
   std::size_t ramp_slots_per_level = 33;
   std::vector<PlannedMigration> planned_migrations;
-  /// Across-server slot parallelism (docs/fleet.md): worker count for
-  /// the per-server steps (system::step_server: pose ingest, problem
-  /// build, solve, tile requests, rendering). 1 = serial reference
-  /// schedule; 0 = all hardware threads; n > 1 = a pool of n workers.
-  /// Requires a stateless(), clone()able allocator — otherwise the run
-  /// silently falls back to serial. Results are bit-identical across
-  /// all values (the global phases — fleet control, budget split, router
-  /// service, the RNG-consuming serve loop — always run on the
-  /// coordinating thread). The CVR_FLEET_THREADS env var overrides this
-  /// when set (CI's forced-serial leg, mirroring CVR_FORCE_SCALAR).
-  /// base.allocator_threads applies on the serial schedule only; under
-  /// the fan-out the per-server clones use this pool instead.
+  /// Must be 1: every server's slot runs serially on the calling thread
+  /// (docs/fleet.md, "Serial by design"). The field is kept only so
+  /// perfbench/ still builds; removing it belongs to a benchmark change.
+  /// Within-slot parallelism is base.allocator_threads.
   std::size_t threads = 1;
 };
 
@@ -147,16 +139,18 @@ struct FleetRunResult {
 
 class FleetSim {
  public:
-  /// Validates the config (throws std::invalid_argument on zero
-  /// servers/vnodes/checkpoint period, a negative backhaul, an invalid
-  /// backoff policy, a planned migration out of range, or a base config
-  /// that system::validate rejects).
+  /// Validates the config. Throws std::invalid_argument naming the
+  /// field ("FleetConfig.<field>: <reason>") on zero servers, vnodes,
+  /// checkpoint or ramp period, a non-finite or negative backhaul,
+  /// threads other than 1 or a planned migration out of range; also on
+  /// an invalid backoff policy or a base config that system::validate
+  /// rejects.
   explicit FleetSim(FleetConfig config);
 
   /// Runs one repeat. Deterministic in (config, repeat): outcomes,
   /// stats, and timeline are bit-identical across invocations and
-  /// thread counts; telemetry is measurement metadata except the
-  /// fleet_ counters, which are deterministic event counts.
+  /// base.allocator_threads values; telemetry is measurement metadata
+  /// except the fleet_ counters, which are deterministic event counts.
   FleetRunResult run(core::Allocator& allocator, std::size_t repeat,
                      system::Timeline* timeline = nullptr,
                      telemetry::Collector* telemetry = nullptr) const;

@@ -100,7 +100,7 @@ std::vector<UserWorld> build_user_worlds(const SystemSimConfig& config,
 }
 
 SimRun::SimRun(const SystemSimConfig& config, std::size_t repeat,
-               core::Allocator& allocator, bool lend_pool, Timeline* timeline,
+               core::Allocator& allocator, Timeline* timeline,
                telemetry::Collector* collector)
     : config(config),
       telemetry(collector != nullptr && collector->counting() ? collector
@@ -117,7 +117,7 @@ SimRun::SimRun(const SystemSimConfig& config, std::size_t repeat,
       member_index(config.users, 0),
       requests(config.users),
       granted(config.users, 0.0),
-      borrower_(lend_pool ? &allocator : nullptr) {
+      borrower_(allocator) {
   unmargined.margin_deg = 0.0;
   allocator.reset();
   if (telemetry != nullptr && telemetry->tracing()) {
@@ -127,18 +127,16 @@ SimRun::SimRun(const SystemSimConfig& config, std::size_t repeat,
                                "user " + std::to_string(u));
     }
   }
-  if (borrower_ != nullptr) {
-    if (config.allocator_threads > 0) {
-      pool_ = std::make_unique<cvr::ThreadPool>(
-          cvr::resolve_thread_count(config.allocator_threads));
-    }
-    borrower_->set_thread_pool(pool_.get());
+  if (config.allocator_threads > 0) {
+    pool_ = std::make_unique<cvr::ThreadPool>(
+        cvr::resolve_thread_count(config.allocator_threads));
   }
+  allocator.set_thread_pool(pool_.get());
 }
 
 SimRun::~SimRun() {
   // Detach before the pool dies: the allocator outlives this run.
-  if (borrower_ != nullptr) borrower_->set_thread_pool(nullptr);
+  borrower_.set_thread_pool(nullptr);
 }
 
 std::vector<sim::UserOutcome> SimRun::finalize() {

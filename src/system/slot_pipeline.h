@@ -68,14 +68,14 @@ std::vector<UserWorld> build_user_worlds(const SystemSimConfig& config,
 /// One repeat of a run, before and after its slots. Construction resets
 /// the allocator, labels the trace processes, derives the shared
 /// measurement RNG from (config.seed, repeat), draws the access network
-/// from it, builds the user worlds, and — when `lend_pool` is set —
-/// lends the allocator its within-slot thread pool: one of
-/// config.allocator_threads workers, or none (serial) when that is 0.
-/// The allocator is detached again on destruction.
+/// from it, builds the user worlds, and lends the allocator its
+/// within-slot thread pool: one of config.allocator_threads workers, or
+/// none (serial) when that is 0. The allocator is detached again on
+/// destruction.
 class SimRun {
  public:
   SimRun(const SystemSimConfig& config, std::size_t repeat,
-         core::Allocator& allocator, bool lend_pool, Timeline* timeline,
+         core::Allocator& allocator, Timeline* timeline,
          telemetry::Collector* collector);
   ~SimRun();
 
@@ -107,7 +107,7 @@ class SimRun {
   std::vector<double> router_demands;
 
  private:
-  core::Allocator* borrower_;  ///< The allocator lent pool_, if any.
+  core::Allocator& borrower_;  ///< The allocator lent pool_.
   std::unique_ptr<cvr::ThreadPool> pool_;
 };
 

@@ -68,6 +68,10 @@ void validate(const SystemSimConfig& config) {
                               "bandwidth_measurement_sigma");
   require_finite_non_negative(config.delay_accounting_cap_ms,
                               "delay_accounting_cap_ms");
+  require_finite_non_negative(config.server.params.alpha,
+                              "server.params.alpha");
+  require_finite_non_negative(config.server.params.beta,
+                              "server.params.beta");
 }
 
 SystemSim::SystemSim(SystemSimConfig config) : config_(std::move(config)) {
@@ -77,8 +81,7 @@ SystemSim::SystemSim(SystemSimConfig config) : config_(std::move(config)) {
 std::vector<sim::UserOutcome> SystemSim::run(
     core::Allocator& allocator, std::size_t repeat, Timeline* timeline,
     telemetry::Collector* telemetry) const {
-  SimRun run(config_, repeat, allocator, /*lend_pool=*/true, timeline,
-             telemetry);
+  SimRun run(config_, repeat, allocator, timeline, telemetry);
   telemetry = run.telemetry;
 
   // The one edge server of Sections V-VI: every user is a member, no

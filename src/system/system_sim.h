@@ -114,7 +114,8 @@ struct SystemSimConfig {
 /// zero users, routers or slots, an empty throttle pool, a zero pose
 /// upload period, a non-finite or non-positive router_aggregate_mbps, or
 /// a non-finite or negative throttle_pool_mbps entry,
-/// bandwidth_measurement_sigma or delay_accounting_cap_ms. SystemSim and
+/// bandwidth_measurement_sigma, delay_accounting_cap_ms,
+/// server.params.alpha or server.params.beta. SystemSim and
 /// fleet::FleetSim both call it on construction.
 void validate(const SystemSimConfig& config);
 

@@ -45,15 +45,15 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// True iff the calling thread is one of this pool's workers.
-  /// Nesting policy (docs/fleet.md): submit() from inside a worker of
-  /// the SAME pool runs the task inline instead of enqueueing it —
-  /// with one FIFO queue, a worker that blocked on a future for a task
-  /// queued behind its own would deadlock the moment every worker does
-  /// it (the fleet's outer per-server fan-out composing with the
-  /// allocator's inner per-lane fan-out on one shared pool). Inline
-  /// execution keeps the future contract (value or exception captured)
-  /// and, because both fan-outs only ever partition disjoint state,
-  /// cannot change any result bit.
+  /// Nesting policy: submit() from inside a worker of the SAME pool
+  /// runs the task inline instead of enqueueing it — with one FIFO
+  /// queue, a worker that blocked on a future for a task queued behind
+  /// its own would deadlock the moment every worker does it (any task
+  /// that fans out onto the pool it runs on, e.g. an allocator lent the
+  /// pool its caller's tasks already occupy). Inline execution keeps the
+  /// future contract (value or exception captured) and, because a
+  /// fork-join span only ever partitions disjoint state, cannot change
+  /// any result bit.
   bool on_worker_thread() const;
 
   /// Enqueues `fn` and returns a future for its result. Tasks start in

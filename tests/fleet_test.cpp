@@ -442,114 +442,44 @@ TEST(FleetRing, ValidationAndDeterminism) {
   EXPECT_THROW(a.owner(0, std::vector<bool>(5, false)), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------
-// Parallel slot execution (docs/fleet.md): FleetConfig::threads is an
-// execution detail — outcomes, timeline, stats, and every telemetry
-// counter must be bit-identical to the serial reference schedule, fault
-// schedules included. These suites run under the TSan CI leg.
-
-fleet::FleetRunResult run_with_threads(const fleet::FleetConfig& base_config,
-                                       std::size_t threads,
-                                       system::Timeline* timeline,
-                                       telemetry::Collector* collector,
-                                       bool warm_start = false) {
-  fleet::FleetConfig config = base_config;
-  config.threads = threads;
-  core::DvGreedyAllocator alloc(core::DvGreedyAllocator::Mode::kCombined,
-                                core::DvGreedyAllocator::Strategy::kHeap,
-                                warm_start);
-  return fleet::FleetSim(config).run(alloc, 0, timeline, collector);
-}
-
-void expect_parallel_matches_serial(const fleet::FleetConfig& config) {
-  system::Timeline serial_tl;
-  telemetry::MetricsRegistry serial_reg;
-  telemetry::Collector serial_col(telemetry::Mode::kCounters, &serial_reg);
-  const auto serial = run_with_threads(config, 1, &serial_tl, &serial_col);
-
-  system::Timeline parallel_tl;
-  telemetry::MetricsRegistry parallel_reg;
-  telemetry::Collector parallel_col(telemetry::Mode::kCounters,
-                                    &parallel_reg);
-  const auto parallel =
-      run_with_threads(config, 3, &parallel_tl, &parallel_col);
-
-  expect_outcomes_identical(serial.outcomes, parallel.outcomes);
-  expect_timelines_identical(serial_tl, parallel_tl);
-  EXPECT_EQ(serial.stats.crashes, parallel.stats.crashes);
-  EXPECT_EQ(serial.stats.migrations, parallel.stats.migrations);
-  EXPECT_EQ(serial.stats.handoff_frames, parallel.stats.handoff_frames);
-  EXPECT_EQ(serial.stats.retry_attempts, parallel.stats.retry_attempts);
-  EXPECT_EQ(serial.stats.lost_users, parallel.stats.lost_users);
-  ASSERT_EQ(serial.stats.per_server.size(), parallel.stats.per_server.size());
-  for (std::size_t k = 0; k < serial.stats.per_server.size(); ++k) {
-    EXPECT_EQ(serial.stats.per_server[k].served_user_slots,
-              parallel.stats.per_server[k].served_user_slots);
-    EXPECT_EQ(serial.stats.per_server[k].mean_budget_mbps,
-              parallel.stats.per_server[k].mean_budget_mbps);
-    EXPECT_EQ(serial.stats.per_server[k].mean_utilization,
-              parallel.stats.per_server[k].mean_utilization);
-  }
-  // Full counter equality, not just the fleet_ prefix: worker-thread
-  // shards must merge to exactly the serial totals.
-  EXPECT_EQ(serial_reg.snapshot().counters, parallel_reg.snapshot().counters);
-}
-
-TEST(ParallelFleet, BitIdenticalToSerialUnderCrash) {
-  expect_parallel_matches_serial(
-      crash_config(fleet::AssignmentMode::kShardedHash));
-}
-
-TEST(ParallelFleet, BitIdenticalToSerialUnderMirroredCrash) {
-  expect_parallel_matches_serial(
-      crash_config(fleet::AssignmentMode::kMirrored));
-}
-
-TEST(ParallelFleet, BitIdenticalToSerialUnderPartition) {
-  fleet::FleetConfig config = crash_config(fleet::AssignmentMode::kShardedHash);
-  config.base.faults.add(
-      make_fault(faults::FaultType::kFleetPartition, 2, 100, 200));
-  expect_parallel_matches_serial(config);
-}
-
-TEST(ParallelFleet, ThreadsZeroMeansAllHardwareThreads) {
-  const fleet::FleetConfig config =
-      crash_config(fleet::AssignmentMode::kShardedHash);
-  const auto serial = run_with_threads(config, 1, nullptr, nullptr);
-  const auto parallel = run_with_threads(config, 0, nullptr, nullptr);
-  expect_outcomes_identical(serial.outcomes, parallel.outcomes);
-}
-
-TEST(ParallelFleet, StatefulAllocatorFallsBackToSerial) {
-  // dv-warm carries state across slots (stateless() == false): the
-  // fleet must keep the serial schedule, and a threads > 1 request
-  // must change nothing.
-  const fleet::FleetConfig config =
-      crash_config(fleet::AssignmentMode::kShardedHash);
-  const auto serial =
-      run_with_threads(config, 1, nullptr, nullptr, /*warm_start=*/true);
-  const auto requested_parallel =
-      run_with_threads(config, 4, nullptr, nullptr, /*warm_start=*/true);
-  expect_outcomes_identical(serial.outcomes, requested_parallel.outcomes);
-}
-
 TEST(FleetConfigValidation, RejectsDegenerateConfigs) {
-  fleet::FleetConfig config;
-  config.base = system::setup_one_router(2);
-  config.base.slots = 50;
-  config.servers = 0;
-  EXPECT_THROW(fleet::FleetSim{config}, std::invalid_argument);
-  config.servers = 2;
-  config.ring_vnodes = 0;
-  EXPECT_THROW(fleet::FleetSim{config}, std::invalid_argument);
-  config.ring_vnodes = 64;
-  config.backhaul_mbps = -1.0;
-  EXPECT_THROW(fleet::FleetSim{config}, std::invalid_argument);
-  config.backhaul_mbps = 0.0;
-  fleet::PlannedMigration pm;
-  pm.user = 99;  // out of range
-  config.planned_migrations.push_back(pm);
-  EXPECT_THROW(fleet::FleetSim{config}, std::invalid_argument);
+  // Every FleetConfig error names its field, as system::validate does
+  // for the base config.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<
+      std::pair<std::string, std::function<void(fleet::FleetConfig&)>>>
+      cases = {
+          {"FleetConfig.servers", [](auto& c) { c.servers = 0; }},
+          {"FleetConfig.ring_vnodes", [](auto& c) { c.ring_vnodes = 0; }},
+          {"FleetConfig.checkpoint_period_slots",
+           [](auto& c) { c.checkpoint_period_slots = 0; }},
+          {"FleetConfig.ramp_slots_per_level",
+           [](auto& c) { c.ramp_slots_per_level = 0; }},
+          {"FleetConfig.backhaul_mbps",
+           [](auto& c) { c.backhaul_mbps = -1.0; }},
+          {"FleetConfig.backhaul_mbps",
+           [nan](auto& c) { c.backhaul_mbps = nan; }},
+          {"FleetConfig.planned_migrations[1]",
+           [](auto& c) {
+             c.planned_migrations.resize(2);
+             c.planned_migrations[1].user = 99;  // out of range
+           }},
+          {"FleetConfig.threads", [](auto& c) { c.threads = 2; }},
+      };
+  for (const auto& [field, corrupt] : cases) {
+    fleet::FleetConfig config;
+    config.base = system::setup_one_router(2);
+    config.base.slots = 50;
+    config.servers = 2;
+    corrupt(config);
+    try {
+      fleet::FleetSim sim(config);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(field + ":", 0), 0u)
+          << error.what();
+    }
+  }
 }
 
 TEST(FleetConfigValidation, BaseErrorsNameTheFieldInBothEngines) {
@@ -608,6 +538,12 @@ TEST(SystemSimConfig, NumericFieldsNameTheField) {
           {"SystemSimConfig.delay_accounting_cap_ms",
            [](auto& c, double v) { c.delay_accounting_cap_ms = v; },
            {nan, inf, -inf, -1.0}},
+          {"SystemSimConfig.server.params.alpha",
+           [](auto& c, double v) { c.server.params.alpha = v; },
+           {nan, inf, -inf, -0.1}},
+          {"SystemSimConfig.server.params.beta",
+           [](auto& c, double v) { c.server.params.beta = v; },
+           {nan, inf, -inf, -0.5}},
       };
   const auto expect_named = [](const std::function<void()>& construct,
                                const std::string& field, double value) {
@@ -629,21 +565,21 @@ TEST(SystemSimConfig, NumericFieldsNameTheField) {
       expect_named([&] { fleet::FleetSim sim(config); }, field, value);
     }
   }
-  // The boundary values stay legal: zero throttle, zero noise, zero cap.
+  // The boundary values stay legal: zero throttle, zero noise, zero cap,
+  // zero QoE weights.
   system::SystemSimConfig edge = system::setup_one_router(2);
   edge.throttle_pool_mbps = {0.0, 40.0};
   edge.bandwidth_measurement_sigma = 0.0;
   edge.delay_accounting_cap_ms = 0.0;
+  edge.server.params = core::QoeParams{0.0, 0.0};
   EXPECT_NO_THROW(system::SystemSim{edge});
 }
 
 // ---------------------------------------------------------------------
 // Within-slot allocator pool (SystemSimConfig::allocator_threads) on the
-// fleet's serial schedule.
+// fleet.
 
-/// A dv allocator that records the pools it is lent. It is not
-/// stateless(), which keeps the fleet on the serial schedule whatever
-/// CVR_FLEET_THREADS says.
+/// A dv allocator that records the pools it is lent.
 class PoolSpyAllocator : public core::Allocator {
  public:
   std::string_view name() const override { return inner_.name(); }

@@ -134,8 +134,8 @@ TEST(ThreadPool, NestedSubmitFromWorkerRunsInline) {
 
 TEST(ThreadPool, OnWorkerThreadIsPerPool) {
   // Thread identity is per pool: a worker of pool A is not "on" pool B,
-  // so A's workers may still fan out to B (the fleet/allocator
-  // composition in docs/fleet.md relies on this).
+  // so A's workers may still fan out to B (an ensemble cell whose
+  // allocator owns a separate within-slot pool relies on this).
   ThreadPool a(1);
   ThreadPool b(1);
   EXPECT_FALSE(a.on_worker_thread());
