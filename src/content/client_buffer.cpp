@@ -11,28 +11,59 @@ ClientTileBuffer::ClientTileBuffer(std::size_t threshold)
   }
 }
 
-std::vector<VideoId> ClientTileBuffer::insert(VideoId id) {
-  auto it = map_.find(id);
-  if (it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return {};
+void ClientTileBuffer::unlink(std::uint32_t node) {
+  Node& n = nodes_[node];
+  (n.prev == kNil ? head_ : nodes_[n.prev].next) = n.next;
+  (n.next == kNil ? tail_ : nodes_[n.next].prev) = n.prev;
+}
+
+void ClientTileBuffer::push_front(std::uint32_t node) {
+  Node& n = nodes_[node];
+  n.prev = kNil;
+  n.next = head_;
+  (head_ == kNil ? tail_ : nodes_[head_].prev) = node;
+  head_ = node;
+}
+
+void ClientTileBuffer::insert(VideoId id, std::vector<VideoId>& released) {
+  if (const std::uint32_t* held = index_.find(id)) {
+    if (*held != head_) {
+      unlink(*held);
+      push_front(*held);
+    }
+    return;
   }
-  lru_.push_front(id);
-  map_[id] = lru_.begin();
-  std::vector<VideoId> released;
-  while (map_.size() > threshold_) {
-    released.push_back(lru_.back());
-    map_.erase(lru_.back());
-    lru_.pop_back();
+  std::uint32_t node = free_;
+  if (node != kNil) {
+    free_ = nodes_[node].next;
+  } else {
+    if (nodes_.size() >= kNil) {
+      throw std::length_error("ClientTileBuffer: node pool exhausted");
+    }
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  nodes_[node].id = id;
+  push_front(node);
+  index_.insert(id, node);
+  while (index_.size() > threshold_) {
+    const std::uint32_t victim = tail_;
+    released.push_back(nodes_[victim].id);
+    index_.erase(nodes_[victim].id);
+    unlink(victim);
+    nodes_[victim].next = free_;
+    free_ = victim;
     ++released_total_;
   }
-  return released;
 }
 
 bool ClientTileBuffer::touch(VideoId id) {
-  auto it = map_.find(id);
-  if (it == map_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second);
+  const std::uint32_t* held = index_.find(id);
+  if (held == nullptr) return false;
+  if (*held != head_) {
+    unlink(*held);
+    push_front(*held);
+  }
   return true;
 }
 

@@ -71,9 +71,14 @@ double ContentDb::tile_size_megabits(const TileKey& key) const {
 
 const CellContent& ContentDb::cell_content(const GridCell& cell) const {
   const std::uint64_t id = content_id(cell);  // throws outside the scene
-  const auto it = cell_cache_.find(id);
-  if (it != cell_cache_.end()) return it->second;
-  CellContent cc;
+  if (const std::uint32_t* entry = cell_index_.find(id)) {
+    return cell_chunks_[*entry / kCellsPerChunk][*entry % kCellsPerChunk];
+  }
+  if (cell_count_ % kCellsPerChunk == 0) {
+    cell_chunks_.push_back(std::make_unique<CellContent[]>(kCellsPerChunk));
+  }
+  const std::uint32_t entry = cell_count_++;
+  CellContent& cc = cell_chunks_.back()[entry % kCellsPerChunk];
   const CrfRateFunction f = model_.for_content(id);
   for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
     const auto idx = static_cast<std::size_t>(q - 1);
@@ -83,7 +88,21 @@ const CellContent& ContentDb::cell_content(const GridCell& cell) const {
   for (int tile = 0; tile < kTilesPerFrame; ++tile) {
     cc.weight[static_cast<std::size_t>(tile)] = tile_weight(cell, tile);
   }
-  return cell_cache_.emplace(id, cc).first->second;
+  cell_index_.insert(id, entry);
+  return cc;
+}
+
+double TilePricer::megabits(VideoId id) {
+  const TileKey key = unpack_video_id(id);  // tile index always in range
+  if (!is_valid_level(key.level)) {
+    throw std::out_of_range("ContentDb: bad quality level");
+  }
+  if (content_ == nullptr || !(key.cell == cell_)) {
+    content_ = &db_->cell_content(key.cell);
+    cell_ = key.cell;
+  }
+  return content_->frame_megabits[static_cast<std::size_t>(key.level - 1)] *
+         content_->weight[static_cast<std::size_t>(key.tile_index)];
 }
 
 std::uint64_t ContentDb::entry_count() const {

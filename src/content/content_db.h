@@ -9,8 +9,10 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <vector>
 
+#include "src/content/id_table.h"
 #include "src/content/rate_function.h"
 #include "src/content/tile.h"
 
@@ -62,10 +64,11 @@ class ContentDb {
 
   /// Memoised per-cell rates and tile weights. First touch of a cell
   /// derives everything through the exact expressions of
-  /// frame_rate_function()/tile_weight(); later touches are one hash
-  /// lookup. NOT safe for concurrent calls on one instance (the fleet
-  /// gives each server its own ContentDb, so per-server parallel tasks
-  /// never share one). Throws std::out_of_range outside the scene.
+  /// frame_rate_function()/tile_weight(); later touches are one flat
+  /// hash probe. The returned reference stays valid for the db's
+  /// lifetime (entries never move). NOT safe for concurrent calls on
+  /// one instance (the fleet gives each server its own ContentDb).
+  /// Throws std::out_of_range outside the scene.
   const CellContent& cell_content(const GridCell& cell) const;
 
   /// Number of distinct encoded tiles (cells x tiles x levels).
@@ -80,9 +83,35 @@ class ContentDb {
  private:
   ContentDbConfig config_;
   ContentRateModel model_;
-  /// Lazy per-cell memo keyed by content_id. mutable: pure-function
-  /// cache behind const accessors.
-  mutable std::unordered_map<std::uint64_t, CellContent> cell_cache_;
+  /// Memo entries per chunk: the memo allocates once per this many
+  /// newly visited cells (plus its index's rare doublings), not once
+  /// per cell.
+  static constexpr std::size_t kCellsPerChunk = 256;
+
+  // Lazy per-cell memo: content_id -> entry number, entries stored in
+  // fixed-size chunks so they never move. mutable: pure-function cache
+  // behind const accessors.
+  mutable IdTable<std::uint32_t> cell_index_;
+  mutable std::vector<std::unique_ptr<CellContent[]>> cell_chunks_;
+  mutable std::uint32_t cell_count_ = 0;
+};
+
+/// Prices a sequence of tiles with one cell_content() lookup per run of
+/// consecutive same-cell ids — a frame's tiles share their cell, so a
+/// request costs one hash lookup instead of one per tile. megabits(id)
+/// is bit-identical to db.tile_size_megabits(unpack_video_id(id)) and
+/// throws as it does. Holds a pointer into the db's memo, whose entries
+/// never move; the pricer must not outlive the db.
+class TilePricer {
+ public:
+  explicit TilePricer(const ContentDb& db) : db_(&db) {}
+
+  double megabits(VideoId id);
+
+ private:
+  const ContentDb* db_;
+  GridCell cell_{};
+  const CellContent* content_ = nullptr;
 };
 
 }  // namespace cvr::content

@@ -4,12 +4,17 @@
 // delivered and will not transmit the same tiles again" — populated by
 // client ACKs over TCP — and "after that [a release ACK], the server will
 // retransmit the tiles if they are requested again."
+//
+// The record is a flat IdTable set (linear probing, backward-shift
+// deletion): delivery and release ACKs insert and erase in place, with
+// no per-tile heap node, and the table only grows, lazily — a user that
+// never receives a tile holds no storage.
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
+#include "src/content/id_table.h"
 #include "src/content/tile.h"
 
 namespace cvr::content {
@@ -21,7 +26,7 @@ class DeliveredTileTracker {
   bool needs_transmit(VideoId id) const { return !delivered_.contains(id); }
 
   /// Processes a delivery ACK.
-  void mark_delivered(VideoId id) { delivered_.insert(id); }
+  void mark_delivered(VideoId id) { delivered_.insert(id, NoValue{}); }
 
   /// Processes a batch of release ACKs: those tiles become
   /// retransmittable.
@@ -36,7 +41,7 @@ class DeliveredTileTracker {
   std::size_t delivered_count() const { return delivered_.size(); }
 
  private:
-  std::unordered_set<VideoId> delivered_;
+  IdTable<NoValue> delivered_;
 };
 
 }  // namespace cvr::content

@@ -1,29 +1,14 @@
 #include "src/content/server_cache.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace cvr::content {
-
-namespace {
-
-/// Fibonacci hashing over the packed cell key; `size` is a power of two.
-inline std::size_t slot_index(std::uint64_t key, std::size_t size) {
-  return static_cast<std::size_t>(
-      (key * 0x9E3779B97F4A7C15ull) >>
-      (64 - std::countr_zero(static_cast<std::uint64_t>(size))));
-}
-
-constexpr std::size_t kMinTableSlots = 64;
-
-}  // namespace
 
 ServerTileCache::ServerTileCache(ServerCacheConfig config) : config_(config) {
   if (config_.capacity_tiles == 0) {
     throw std::invalid_argument("ServerTileCache: zero capacity");
   }
-  table_.assign(kMinTableSlots, TableEntry{});
 }
 
 std::uint64_t ServerTileCache::block_key(const GridCell& cell) {
@@ -92,8 +77,9 @@ bool ServerTileCache::lookup(VideoId id) {
   const TileKey tk = unpack_video_id(id);
   const int off = tk.tile_index * kNumQualityLevels + (tk.level - 1);
   const std::uint64_t key = block_key(tk.cell);
-  const std::uint32_t bidx = find_block(key);
-  if (bidx != kNoBlock && blocks_[bidx].ticks[off] != 0) {
+  const std::uint32_t* found = index_.find(key);
+  if (found != nullptr && blocks_[*found].ticks[off] != 0) {
+    const std::uint32_t bidx = *found;
     Block& b = blocks_[bidx];
     b.ticks[off] = next_tick_++;
     ring_.push_back({b.ticks[off], bidx, static_cast<std::uint8_t>(off),
@@ -103,7 +89,7 @@ bool ServerTileCache::lookup(VideoId id) {
     return true;
   }
   ++misses_;
-  touch_one(bidx != kNoBlock ? bidx : find_or_create_block(key), off);
+  touch_one(found != nullptr ? *found : find_or_create_block(key), off);
   return false;
 }
 
@@ -113,23 +99,9 @@ double ServerTileCache::hit_rate() const {
                     : static_cast<double>(hits_) / static_cast<double>(total);
 }
 
-std::uint32_t ServerTileCache::find_block(std::uint64_t key) const {
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t i = slot_index(key, table_.size());; i = (i + 1) & mask) {
-    const TableEntry& e = table_[i];
-    if (!e.live) return kNoBlock;
-    if (e.key == key) return e.block;
-  }
-}
-
 std::uint32_t ServerTileCache::find_or_create_block(std::uint64_t key) {
-  const std::size_t mask = table_.size() - 1;
-  std::size_t i = slot_index(key, table_.size());
-  for (;; i = (i + 1) & mask) {
-    const TableEntry& e = table_[i];
-    if (!e.live) break;
-    if (e.key == key) return e.block;
-  }
+  const auto [entry, inserted] = index_.insert(key, 0);
+  if (!inserted) return *entry;
   std::uint32_t bidx;
   if (!free_blocks_.empty()) {
     bidx = free_blocks_.back();
@@ -138,11 +110,8 @@ std::uint32_t ServerTileCache::find_or_create_block(std::uint64_t key) {
     bidx = static_cast<std::uint32_t>(blocks_.size());
     blocks_.emplace_back();
   }
+  *entry = bidx;
   blocks_[bidx].key = key;  // ticks already zero (fresh or free_block'd)
-  table_[i] = {key, bidx, true};
-  ++live_blocks_;
-  // Keep the load factor under 1/2.
-  if (live_blocks_ * 2 >= table_.size()) rehash_table(table_.size() * 2);
   return bidx;
 }
 
@@ -201,34 +170,18 @@ void ServerTileCache::free_block(std::uint32_t block) {
   Block& b = blocks_[block];
   std::fill(std::begin(b.ticks), std::end(b.ticks), 0);
   b.epoch = next_tick_;
-  // Linear-probing deletion by backward shift, so no tombstone is left
-  // to lengthen probes: each later entry of the probe run moves into the
-  // hole unless its home slot lies cyclically in (hole, entry].
-  const std::size_t mask = table_.size() - 1;
-  std::size_t hole = slot_index(b.key, table_.size());
-  while (!table_[hole].live || table_[hole].key != b.key) {
-    hole = (hole + 1) & mask;
-  }
-  for (std::size_t j = (hole + 1) & mask; table_[j].live; j = (j + 1) & mask) {
-    const std::size_t home = slot_index(table_[j].key, table_.size());
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      table_[hole] = table_[j];
-      hole = j;
-    }
-  }
-  table_[hole].live = false;
-  --live_blocks_;
+  index_.erase(b.key);
   free_blocks_.push_back(block);
 }
 
 void ServerTileCache::maybe_compact_ring() {
-  // Live stamps number at most live_blocks_ (ranges) + live_ (singles),
+  // Live stamps number at most the live blocks (ranges) + live_ (singles),
   // so past this threshold at least half the span is stale and one
   // compaction pass amortizes to O(1) per touch. The second test bounds
   // the consumed prefix: without it, a walk whose stamps all die by
   // eviction would grow the ring forever without crossing the first.
   const std::size_t span = ring_.size() - ring_head_;
-  if (span > 2 * (live_blocks_ + live_) + 1024 || ring_head_ > span + 1024) {
+  if (span > 2 * (index_.size() + live_) + 1024 || ring_head_ > span + 1024) {
     compact_ring();
   }
 }
@@ -251,18 +204,6 @@ void ServerTileCache::compact_ring() {
   }
   ring_.resize(out);
   ring_head_ = 0;
-}
-
-void ServerTileCache::rehash_table(std::size_t new_size) {
-  const std::vector<TableEntry> old = std::move(table_);
-  table_.assign(new_size, TableEntry{});
-  const std::size_t mask = new_size - 1;
-  for (const TableEntry& e : old) {
-    if (!e.live) continue;
-    std::size_t i = slot_index(e.key, new_size);
-    while (table_[i].live) i = (i + 1) & mask;
-    table_[i] = e;
-  }
 }
 
 }  // namespace cvr::content

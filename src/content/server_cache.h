@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/content/id_table.h"
 #include "src/content/tile.h"
 
 namespace cvr::content {
@@ -72,7 +73,6 @@ class ServerTileCache {
  private:
   /// Tile ids per cell block: every (tile index, level) combination.
   static constexpr int kIdsPerBlock = kTilesPerFrame * kNumQualityLevels;
-  static constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
 
   /// All of one cell's tile ticks, contiguous. tick 0 = id not resident.
   struct Block {
@@ -83,13 +83,6 @@ class ServerTileCache {
     /// A stamp whose tick is below it is wholly stale.
     std::uint64_t epoch = 0;
     std::uint32_t live = 0;   ///< Resident ids in this block.
-  };
-
-  /// Open-addressing table entry mapping a packed cell to its block.
-  struct TableEntry {
-    std::uint64_t key = 0;
-    std::uint32_t block = 0;
-    bool live = false;
   };
 
   /// One recency stamp: blocks_[block].ticks[begin..end) held the
@@ -105,7 +98,6 @@ class ServerTileCache {
 
   static std::uint64_t block_key(const GridCell& cell);
 
-  std::uint32_t find_block(std::uint64_t key) const;
   std::uint32_t find_or_create_block(std::uint64_t key);
   /// Touches one id (offset within its block): re-stamp on hit, insert
   /// plus capacity eviction on a newly resident id.
@@ -114,24 +106,19 @@ class ServerTileCache {
   /// skipping stale stamps).
   void evict_lru();
   /// Returns the block's tile ids to the free list and deletes its
-  /// table entry. Ticks are zeroed so outstanding stamps go stale.
+  /// index entry. Ticks are zeroed so outstanding stamps go stale.
   void free_block(std::uint32_t block);
   /// Drops fully stale stamps in place (the ring stays tick-sorted).
   void compact_ring();
   void maybe_compact_ring();
-  /// Re-places all live table entries into `new_size` slots (power of
-  /// two); the table only grows. Stamps hold block indices, not table
-  /// slots, so the ring is unaffected.
-  void rehash_table(std::size_t new_size);
 
   ServerCacheConfig config_;
-  std::vector<TableEntry> table_;  // power-of-two open addressing
+  IdTable<std::uint32_t> index_;   // packed cell -> block
   std::vector<Block> blocks_;      // block pool; indices are stable
   std::vector<std::uint32_t> free_blocks_;
   std::vector<Stamp> ring_;        // FIFO of stamps, tick-ascending
   std::size_t ring_head_ = 0;
   std::size_t live_ = 0;           // resident tile ids
-  std::size_t live_blocks_ = 0;
   std::uint64_t next_tick_ = 1;    // 0 marks "not resident"
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

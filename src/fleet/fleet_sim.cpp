@@ -119,12 +119,12 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
   std::vector<std::size_t> util_slots(n_servers, 0);
   std::size_t reabsorb_slot_sum = 0;
 
-  auto eligible_targets = [&] {
-    std::vector<bool> eligible(n_servers);
+  // Servers a re-admission may target, refreshed in place before use.
+  std::vector<bool> eligible(n_servers);
+  auto refresh_eligible = [&] {
     for (std::size_t k = 0; k < n_servers; ++k) {
       eligible[k] = alive[k] && !partitioned[k];
     }
-    return eligible;
   };
   auto any_eligible = [](const std::vector<bool>& eligible) {
     return std::find(eligible.begin(), eligible.end(), true) !=
@@ -255,7 +255,7 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
     // crash slot itself — no backoff before the first try.
     if (config_.assignment == AssignmentMode::kMirrored &&
         !crashed_now.empty()) {
-      const std::vector<bool> eligible = eligible_targets();
+      refresh_eligible();
       if (any_eligible(eligible)) {
         for (RetryEntry& entry : retry_queue) {
           if (entry.crash_slot != t || entry.attempts != 0) continue;
@@ -277,7 +277,7 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
     // eligible owner, with exponential backoff + jitter between
     // attempts, bounded attempts, and a per-user timeout.
     {
-      const std::vector<bool> eligible = eligible_targets();
+      refresh_eligible();
       for (RetryEntry& entry : retry_queue) {
         if (!orphan[entry.user] || lost[entry.user]) continue;
         if (t - entry.crash_slot > config_.backoff.timeout_slots ||
@@ -354,8 +354,8 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
     if (n_servers > 1 && t % config_.checkpoint_period_slots == 0) {
       for (std::size_t u = 0; u < n_users; ++u) {
         if (orphan[u] || lost[u] || !alive[serving[u]]) continue;
-        checkpoints[u] =
-            proto::encode(edges[serving[u]].server.export_handoff(u, t));
+        proto::encode(edges[serving[u]].server.export_handoff(u, t),
+                      checkpoints[u]);
         stats.handoff_frames += 1;
         count_fleet(telemetry, telemetry::Counter::kFleetHandoffFrames);
       }

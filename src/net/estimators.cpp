@@ -12,7 +12,7 @@ namespace cvr::net {
 EmaThroughputEstimator::EmaThroughputEstimator(double alpha,
                                                double initial_mbps)
     : alpha_(alpha), value_(initial_mbps) {
-  if (alpha <= 0.0 || alpha > 1.0) {
+  if (!(alpha > 0.0 && alpha <= 1.0)) {  // also rejects NaN
     throw std::invalid_argument("EmaThroughputEstimator: alpha out of (0,1]");
   }
 }

@@ -90,44 +90,46 @@ double Router::per_user_capacity(std::size_t user) const {
   return effective_user_.at(user);
 }
 
-std::vector<double> Router::serve(
-    const std::vector<double>& demands_mbps) const {
+void Router::serve(const std::vector<double>& demands_mbps,
+                   std::vector<double>& grants) {
   if (demands_mbps.size() != throttles_.size()) {
     throw std::invalid_argument("Router::serve: demand count mismatch");
   }
-  std::vector<double> capped(demands_mbps.size());
+  capped_.resize(demands_mbps.size());
   for (std::size_t u = 0; u < demands_mbps.size(); ++u) {
-    capped[u] = std::min(std::max(0.0, demands_mbps[u]), effective_user_[u]);
+    capped_[u] = std::min(std::max(0.0, demands_mbps[u]), effective_user_[u]);
   }
-  return max_min_fair(capped, effective_aggregate_);
+  max_min_fair(capped_, effective_aggregate_, grants, active_);
 }
 
-std::vector<double> max_min_fair(const std::vector<double>& demands,
-                                 double capacity) {
-  std::vector<double> grant(demands.size(), 0.0);
+void max_min_fair(const std::vector<double>& demands, double capacity,
+                  std::vector<double>& grant,
+                  std::vector<std::size_t>& active) {
+  grant.assign(demands.size(), 0.0);
   double remaining = capacity;
-  std::vector<std::size_t> active;
+  active.clear();
   for (std::size_t i = 0; i < demands.size(); ++i) {
     if (demands[i] > 0.0) active.push_back(i);
   }
   // Progressive filling: repeatedly give every active user an equal share
-  // until its demand is met or capacity runs out.
+  // until its demand is met or capacity runs out. Users still short of
+  // their demand stay active, compacted in place in their order.
   while (!active.empty() && remaining > 1e-12) {
     const double share = remaining / static_cast<double>(active.size());
-    std::vector<std::size_t> still_active;
+    std::size_t still_active = 0;
     double used = 0.0;
-    for (std::size_t i : active) {
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      const std::size_t i = active[k];
       const double want = demands[i] - grant[i];
       const double give = std::min(want, share);
       grant[i] += give;
       used += give;
-      if (grant[i] + 1e-12 < demands[i]) still_active.push_back(i);
+      if (grant[i] + 1e-12 < demands[i]) active[still_active++] = i;
     }
     remaining -= used;
-    if (still_active.size() == active.size() && used < 1e-12) break;
-    active = std::move(still_active);
+    if (still_active == active.size() && used < 1e-12) break;
+    active.resize(still_active);
   }
-  return grant;
 }
 
 }  // namespace cvr::net

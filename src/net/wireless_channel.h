@@ -88,8 +88,11 @@ class Router {
   double aggregate_capacity() const { return effective_aggregate_; }
 
   /// Serves the given demands (Mbps) max-min fairly under both the
-  /// per-user and aggregate limits; returns the granted rates.
-  std::vector<double> serve(const std::vector<double>& demands_mbps) const;
+  /// per-user and aggregate limits, writing the granted rates into
+  /// `grants` (resized; capacity kept). Works in member scratch, so a
+  /// router serving a fixed user set allocates nothing per slot.
+  void serve(const std::vector<double>& demands_mbps,
+             std::vector<double>& grants);
 
   /// The contention channel, when config.contention.enabled; nullptr
   /// otherwise (tests/diagnostics).
@@ -106,11 +109,16 @@ class Router {
   double outage_multiplier_ = 1.0;
   double effective_aggregate_ = 0.0;
   std::vector<double> effective_user_;
+  // serve() scratch, recycled across slots.
+  std::vector<double> capped_;
+  std::vector<std::size_t> active_;
 };
 
 /// Max-min fair allocation of `capacity` across `demands` with per-user
-/// caps already folded into demands. Exposed for testing.
-std::vector<double> max_min_fair(const std::vector<double>& demands,
-                                 double capacity);
+/// caps already folded into demands, written into `grant` (resized;
+/// capacity kept). `active` is index scratch; its contents are
+/// overwritten. Exposed for testing.
+void max_min_fair(const std::vector<double>& demands, double capacity,
+                  std::vector<double>& grant, std::vector<std::size_t>& active);
 
 }  // namespace cvr::net

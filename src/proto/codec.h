@@ -3,11 +3,22 @@
 // Little-endian, length-checked primitives with a CRC32 frame check —
 // the encoding a production port of the paper's Java/Android protocol
 // would put on the TCP side channel (poses, ACKs) and in RTP payload
-// headers. Deliberately dependency-free and allocation-light.
+// headers. Deliberately dependency-free.
+//
+// Allocation contract: nothing here allocates except to grow the
+// caller's Buffer. Writer appends into a caller-owned Buffer; a frame's
+// length and CRC are written in place around a payload already in that
+// Buffer (begin_frame/end_frame), so framing copies nothing; unframe
+// checks the CRC over the bytes where they lie and returns a Reader
+// over the payload. A caller that recycles one Buffer therefore encodes
+// and decodes with no heap allocation once the Buffer has grown to its
+// largest message. Only Reader::bytes() and the returned-Buffer
+// frame() copy out.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 namespace cvr::proto {
@@ -32,6 +43,7 @@ class Writer {
 };
 
 /// Reads primitives; all methods throw std::out_of_range on truncation.
+/// A Reader views its bytes and never owns them.
 class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t size)
@@ -46,9 +58,15 @@ class Reader {
   double f64();
   /// Length-prefixed byte string (copies out).
   Buffer bytes();
+  /// Consumes the next `n` bytes and returns a Reader over them.
+  Reader sub(std::size_t n);
 
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }
+  /// The unread bytes, without consuming them.
+  std::span<const std::uint8_t> unread() const {
+    return {data_ + pos_, size_ - pos_};
+  }
 
  private:
   void need(std::size_t n) const;
@@ -58,17 +76,31 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3, reflected). Table-driven, no dependencies.
+/// CRC-32 (IEEE 802.3, reflected), computed slice-by-8: eight table
+/// lookups per 8 input bytes. Bit-identical to the bytewise definition
+/// at every length and alignment.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 inline std::uint32_t crc32(const Buffer& buffer) {
   return crc32(buffer.data(), buffer.size());
 }
 
-/// Frames a payload: u32 length | payload | u32 crc32(payload).
+/// Opens a frame at the end of `out` by appending a placeholder u32
+/// length; the payload is then appended (e.g. through a Writer) and the
+/// frame closed with end_frame. Returns the frame's start offset.
+std::size_t begin_frame(Buffer& out);
+
+/// Closes the frame opened at `start`: patches its length in place and
+/// appends crc32 of the payload bytes where they lie. Wire layout:
+/// u32 length | payload | u32 crc32(payload).
+void end_frame(Buffer& out, std::size_t start);
+
+/// Frames a copy of `payload` into a new buffer.
 Buffer frame(const Buffer& payload);
 
-/// Unframes; throws std::runtime_error on bad length or CRC mismatch.
-/// On success consumes exactly one frame from the reader.
-Buffer unframe(Reader& reader);
+/// Consumes exactly one frame from the reader and returns a Reader over
+/// its payload, which views the reader's bytes in place (valid as long
+/// as they are). Throws std::runtime_error on a bad length or a CRC
+/// mismatch, std::out_of_range on a truncated header or trailer.
+Reader unframe(Reader& reader);
 
 }  // namespace cvr::proto

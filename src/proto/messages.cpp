@@ -9,26 +9,38 @@ namespace cvr::proto {
 
 namespace {
 
-Buffer payload_with_tag(MessageType type) {
-  Buffer payload;
-  Writer writer(payload);
+/// Encoded size of a pose: six f64s.
+constexpr std::size_t kPoseBytes = 6 * 8;
+
+/// Replaces `out` with an open frame holding the type tag, with room
+/// reserved for `body` more payload bytes and the CRC; end_frame(out, 0)
+/// closes it.
+Writer open_message(Buffer& out, MessageType type, std::size_t body) {
+  out.clear();
+  out.reserve(4 + 1 + body + 4);
+  begin_frame(out);
+  Writer writer(out);
   writer.u8(static_cast<std::uint8_t>(type));
-  return payload;
+  return writer;
 }
 
-Reader open_payload(const Buffer& framed, MessageType expected,
-                    Buffer& storage) {
+/// Unframes `framed` (exactly one frame) and checks its tag; returns a
+/// Reader over the rest of the payload, in place.
+Reader open_payload(const Buffer& framed, MessageType expected) {
   Reader framed_reader(framed);
-  storage = unframe(framed_reader);
+  Reader reader = unframe(framed_reader);
   if (!framed_reader.done()) {
     throw std::runtime_error("proto: trailing bytes after frame");
   }
-  Reader reader(storage);
   const auto tag = reader.u8();
   if (tag != static_cast<std::uint8_t>(expected)) {
     throw std::runtime_error("proto: unexpected message type");
   }
   return reader;
+}
+
+void expect_done(const Reader& reader) {
+  if (!reader.done()) throw std::runtime_error("proto: trailing payload bytes");
 }
 
 void write_pose(Writer& writer, const motion::Pose& pose) {
@@ -51,15 +63,23 @@ motion::Pose read_pose(Reader& reader) {
   return pose;
 }
 
+std::size_t tiles_bytes(const std::vector<content::VideoId>& tiles) {
+  return 4 + 8 * tiles.size();
+}
+
 void write_tiles(Writer& writer, const std::vector<content::VideoId>& tiles) {
   writer.u32(static_cast<std::uint32_t>(tiles.size()));
   for (content::VideoId id : tiles) writer.u64(id);
 }
 
-std::vector<content::VideoId> read_tiles(Reader& reader) {
+void read_tiles(Reader& reader, std::vector<content::VideoId>& tiles) {
   const std::uint32_t count = reader.u32();
-  std::vector<content::VideoId> tiles;
-  tiles.reserve(count);
+  // A count the payload cannot hold is truncation; checking it first
+  // keeps a hostile count from sizing the vector.
+  if (count > reader.remaining() / 8) {
+    throw std::out_of_range("proto::Reader: truncated input");
+  }
+  tiles.clear();
   for (std::uint32_t i = 0; i < count; ++i) {
     const content::VideoId id = reader.u64();
     // Validate the packed key (throws out_of_range if malformed levels /
@@ -70,7 +90,6 @@ std::vector<content::VideoId> read_tiles(Reader& reader) {
     }
     tiles.push_back(id);
   }
-  return tiles;
 }
 
 /// Shared invariant check for UserHandoff (see the struct comment).
@@ -118,59 +137,57 @@ void validate_user_handoff(const UserHandoff& message) {
 
 }  // namespace
 
-Buffer encode(const PoseUpdate& message) {
-  Buffer payload = payload_with_tag(MessageType::kPoseUpdate);
-  Writer writer(payload);
+void encode(const PoseUpdate& message, Buffer& out) {
+  Writer writer =
+      open_message(out, MessageType::kPoseUpdate, 4 + 8 + kPoseBytes);
   writer.u32(message.user);
   writer.u64(message.slot);
   write_pose(writer, message.pose);
-  return frame(payload);
+  end_frame(out, 0);
 }
 
-Buffer encode(const DeliveryAck& message) {
-  Buffer payload = payload_with_tag(MessageType::kDeliveryAck);
-  Writer writer(payload);
+void encode(const DeliveryAck& message, Buffer& out) {
+  Writer writer = open_message(out, MessageType::kDeliveryAck,
+                               4 + 8 + tiles_bytes(message.tiles));
   writer.u32(message.user);
   writer.u64(message.slot);
   write_tiles(writer, message.tiles);
-  return frame(payload);
+  end_frame(out, 0);
 }
 
-Buffer encode(const ReleaseAck& message) {
-  Buffer payload = payload_with_tag(MessageType::kReleaseAck);
-  Writer writer(payload);
+void encode(const ReleaseAck& message, Buffer& out) {
+  Writer writer = open_message(out, MessageType::kReleaseAck,
+                               4 + 8 + tiles_bytes(message.tiles));
   writer.u32(message.user);
   writer.u64(message.slot);
   write_tiles(writer, message.tiles);
-  return frame(payload);
+  end_frame(out, 0);
 }
 
-Buffer encode(const TileHeader& message) {
+void encode(const TileHeader& message, Buffer& out) {
   if (message.packet_index >= message.packet_count) {
     throw std::invalid_argument("proto: packet_index >= packet_count");
   }
-  Buffer payload = payload_with_tag(MessageType::kTileHeader);
-  Writer writer(payload);
+  Writer writer = open_message(out, MessageType::kTileHeader, 8 + 4 + 4 + 8);
   writer.u64(message.video_id);
   writer.u32(message.packet_index);
   writer.u32(message.packet_count);
   writer.u64(message.slot);
-  return frame(payload);
+  end_frame(out, 0);
 }
 
-Buffer encode(const ConnectRequest& message) {
+void encode(const ConnectRequest& message, Buffer& out) {
   if (!std::isfinite(message.qos_ms) || message.qos_ms <= 0.0) {
     throw std::invalid_argument("proto: qos_ms must be finite and positive");
   }
-  Buffer payload = payload_with_tag(MessageType::kConnectRequest);
-  Writer writer(payload);
+  Writer writer = open_message(out, MessageType::kConnectRequest, 8 + 8 + 8);
   writer.u64(message.session);
   writer.u64(message.slot);
   writer.f64(message.qos_ms);
-  return frame(payload);
+  end_frame(out, 0);
 }
 
-Buffer encode(const AdmitResponse& message) {
+void encode(const AdmitResponse& message, Buffer& out) {
   if (static_cast<std::uint8_t>(message.decision) > 2) {
     throw std::invalid_argument("proto: unknown admission decision");
   }
@@ -178,27 +195,25 @@ Buffer encode(const AdmitResponse& message) {
       static_cast<std::uint8_t>(content::kNumQualityLevels)) {
     throw std::invalid_argument("proto: level_cap above the level count");
   }
-  Buffer payload = payload_with_tag(MessageType::kAdmitResponse);
-  Writer writer(payload);
+  Writer writer = open_message(out, MessageType::kAdmitResponse, 8 + 8 + 1 + 1);
   writer.u64(message.session);
   writer.u64(message.slot);
   writer.u8(static_cast<std::uint8_t>(message.decision));
   writer.u8(message.level_cap);
-  return frame(payload);
+  end_frame(out, 0);
 }
 
-Buffer encode(const DisconnectNotice& message) {
-  Buffer payload = payload_with_tag(MessageType::kDisconnectNotice);
-  Writer writer(payload);
+void encode(const DisconnectNotice& message, Buffer& out) {
+  Writer writer = open_message(out, MessageType::kDisconnectNotice, 8 + 8);
   writer.u64(message.session);
   writer.u64(message.slot);
-  return frame(payload);
+  end_frame(out, 0);
 }
 
-Buffer encode(const UserHandoff& message) {
+void encode(const UserHandoff& message, Buffer& out) {
   validate_user_handoff<std::invalid_argument>(message);
-  Buffer payload = payload_with_tag(MessageType::kUserHandoff);
-  Writer writer(payload);
+  Writer writer = open_message(out, MessageType::kUserHandoff,
+                               4 + 8 + 8 * 8 + kPoseBytes + 8 + 1 + 8);
   writer.u32(message.user);
   writer.u64(message.slot);
   writer.f64(message.delta_hits);
@@ -217,13 +232,12 @@ Buffer encode(const UserHandoff& message) {
                                 (message.pose_stale ? 4u : 0u));
   writer.u8(flags);
   writer.f64(message.transmit_fraction);
-  return frame(payload);
+  end_frame(out, 0);
 }
 
 MessageType peek_type(const Buffer& framed) {
   Reader framed_reader(framed);
-  const Buffer payload = unframe(framed_reader);
-  Reader reader(payload);
+  Reader reader = unframe(framed_reader);
   const auto tag = reader.u8();
   if (tag < 1 || tag > 8) {
     throw std::runtime_error("proto: unknown message type tag");
@@ -231,134 +245,145 @@ MessageType peek_type(const Buffer& framed) {
   return static_cast<MessageType>(tag);
 }
 
-PoseUpdate decode_pose_update(const Buffer& framed) {
-  Buffer storage;
-  Reader reader = open_payload(framed, MessageType::kPoseUpdate, storage);
-  PoseUpdate message;
-  message.user = reader.u32();
-  message.slot = reader.u64();
-  message.pose = read_pose(reader);
-  if (!reader.done()) throw std::runtime_error("proto: trailing payload bytes");
-  return message;
+void decode(const Buffer& framed, PoseUpdate& out) {
+  Reader reader = open_payload(framed, MessageType::kPoseUpdate);
+  out.user = reader.u32();
+  out.slot = reader.u64();
+  out.pose = read_pose(reader);
+  expect_done(reader);
 }
 
-DeliveryAck decode_delivery_ack(const Buffer& framed) {
-  Buffer storage;
-  Reader reader = open_payload(framed, MessageType::kDeliveryAck, storage);
-  DeliveryAck message;
-  message.user = reader.u32();
-  message.slot = reader.u64();
-  message.tiles = read_tiles(reader);
-  if (!reader.done()) throw std::runtime_error("proto: trailing payload bytes");
-  return message;
+void decode(const Buffer& framed, DeliveryAck& out) {
+  Reader reader = open_payload(framed, MessageType::kDeliveryAck);
+  out.user = reader.u32();
+  out.slot = reader.u64();
+  read_tiles(reader, out.tiles);
+  expect_done(reader);
 }
 
-ReleaseAck decode_release_ack(const Buffer& framed) {
-  Buffer storage;
-  Reader reader = open_payload(framed, MessageType::kReleaseAck, storage);
-  ReleaseAck message;
-  message.user = reader.u32();
-  message.slot = reader.u64();
-  message.tiles = read_tiles(reader);
-  if (!reader.done()) throw std::runtime_error("proto: trailing payload bytes");
-  return message;
+void decode(const Buffer& framed, ReleaseAck& out) {
+  Reader reader = open_payload(framed, MessageType::kReleaseAck);
+  out.user = reader.u32();
+  out.slot = reader.u64();
+  read_tiles(reader, out.tiles);
+  expect_done(reader);
 }
 
-TileHeader decode_tile_header(const Buffer& framed) {
-  Buffer storage;
-  Reader reader = open_payload(framed, MessageType::kTileHeader, storage);
-  TileHeader message;
-  message.video_id = reader.u64();
-  message.packet_index = reader.u32();
-  message.packet_count = reader.u32();
-  message.slot = reader.u64();
-  if (!reader.done()) throw std::runtime_error("proto: trailing payload bytes");
-  if (message.packet_index >= message.packet_count) {
+void decode(const Buffer& framed, TileHeader& out) {
+  Reader reader = open_payload(framed, MessageType::kTileHeader);
+  out.video_id = reader.u64();
+  out.packet_index = reader.u32();
+  out.packet_count = reader.u32();
+  out.slot = reader.u64();
+  expect_done(reader);
+  if (out.packet_index >= out.packet_count) {
     throw std::runtime_error("proto: packet_index >= packet_count");
   }
-  return message;
 }
 
-ConnectRequest decode_connect_request(const Buffer& framed) {
-  Buffer storage;
-  Reader reader = open_payload(framed, MessageType::kConnectRequest, storage);
-  ConnectRequest message;
-  message.session = reader.u64();
-  message.slot = reader.u64();
-  message.qos_ms = reader.f64();
-  if (!reader.done()) throw std::runtime_error("proto: trailing payload bytes");
-  if (!std::isfinite(message.qos_ms) || message.qos_ms <= 0.0) {
+void decode(const Buffer& framed, ConnectRequest& out) {
+  Reader reader = open_payload(framed, MessageType::kConnectRequest);
+  out.session = reader.u64();
+  out.slot = reader.u64();
+  out.qos_ms = reader.f64();
+  expect_done(reader);
+  if (!std::isfinite(out.qos_ms) || out.qos_ms <= 0.0) {
     throw std::runtime_error("proto: qos_ms must be finite and positive");
   }
-  return message;
 }
 
-AdmitResponse decode_admit_response(const Buffer& framed) {
-  Buffer storage;
-  Reader reader = open_payload(framed, MessageType::kAdmitResponse, storage);
-  AdmitResponse message;
-  message.session = reader.u64();
-  message.slot = reader.u64();
+void decode(const Buffer& framed, AdmitResponse& out) {
+  Reader reader = open_payload(framed, MessageType::kAdmitResponse);
+  out.session = reader.u64();
+  out.slot = reader.u64();
   const std::uint8_t decision = reader.u8();
-  message.level_cap = reader.u8();
-  if (!reader.done()) throw std::runtime_error("proto: trailing payload bytes");
+  out.level_cap = reader.u8();
+  expect_done(reader);
   if (decision > 2) {
     throw std::runtime_error("proto: unknown admission decision");
   }
-  message.decision = static_cast<WireAdmission>(decision);
-  if (message.level_cap >
-      static_cast<std::uint8_t>(content::kNumQualityLevels)) {
+  out.decision = static_cast<WireAdmission>(decision);
+  if (out.level_cap > static_cast<std::uint8_t>(content::kNumQualityLevels)) {
     throw std::runtime_error("proto: level_cap above the level count");
   }
   // Decision/cap consistency is part of the wire contract: a reject
   // grants no levels, an admit or degrade-admit grants at least one.
-  if (message.decision == WireAdmission::kReject) {
-    if (message.level_cap != 0) {
+  if (out.decision == WireAdmission::kReject) {
+    if (out.level_cap != 0) {
       throw std::runtime_error("proto: reject must carry level_cap 0");
     }
-  } else if (message.level_cap == 0) {
+  } else if (out.level_cap == 0) {
     throw std::runtime_error("proto: admit requires a non-zero level_cap");
   }
-  return message;
 }
 
-DisconnectNotice decode_disconnect_notice(const Buffer& framed) {
-  Buffer storage;
-  Reader reader = open_payload(framed, MessageType::kDisconnectNotice, storage);
-  DisconnectNotice message;
-  message.session = reader.u64();
-  message.slot = reader.u64();
-  if (!reader.done()) throw std::runtime_error("proto: trailing payload bytes");
-  return message;
+void decode(const Buffer& framed, DisconnectNotice& out) {
+  Reader reader = open_payload(framed, MessageType::kDisconnectNotice);
+  out.session = reader.u64();
+  out.slot = reader.u64();
+  expect_done(reader);
 }
 
-UserHandoff decode_user_handoff(const Buffer& framed) {
-  Buffer storage;
-  Reader reader = open_payload(framed, MessageType::kUserHandoff, storage);
-  UserHandoff message;
-  message.user = reader.u32();
-  message.slot = reader.u64();
-  message.delta_hits = reader.f64();
-  message.delta_count = reader.u64();
-  message.base_hits = reader.f64();
-  message.base_count = reader.u64();
-  message.qbar_sum = reader.f64();
-  message.qbar_slots = reader.u64();
-  message.bandwidth_mbps = reader.f64();
-  message.bandwidth_observations = reader.u64();
-  message.pose = read_pose(reader);
-  message.pose_slot = reader.u64();
+void decode(const Buffer& framed, UserHandoff& out) {
+  Reader reader = open_payload(framed, MessageType::kUserHandoff);
+  out.user = reader.u32();
+  out.slot = reader.u64();
+  out.delta_hits = reader.f64();
+  out.delta_count = reader.u64();
+  out.base_hits = reader.f64();
+  out.base_count = reader.u64();
+  out.qbar_sum = reader.f64();
+  out.qbar_slots = reader.u64();
+  out.bandwidth_mbps = reader.f64();
+  out.bandwidth_observations = reader.u64();
+  out.pose = read_pose(reader);
+  out.pose_slot = reader.u64();
   const std::uint8_t flags = reader.u8();
-  message.transmit_fraction = reader.f64();
-  if (!reader.done()) throw std::runtime_error("proto: trailing payload bytes");
+  out.transmit_fraction = reader.f64();
+  expect_done(reader);
   if (flags > 7) {
     throw std::runtime_error("proto: handoff carries unknown flag bits");
   }
-  message.has_pose = (flags & 1u) != 0;
-  message.safe_mode = (flags & 2u) != 0;
-  message.pose_stale = (flags & 4u) != 0;
-  validate_user_handoff<std::runtime_error>(message);
+  out.has_pose = (flags & 1u) != 0;
+  out.safe_mode = (flags & 2u) != 0;
+  out.pose_stale = (flags & 4u) != 0;
+  validate_user_handoff<std::runtime_error>(out);
+}
+
+namespace {
+
+template <typename Message>
+Message decode_new(const Buffer& framed) {
+  Message message;
+  decode(framed, message);
   return message;
+}
+
+}  // namespace
+
+PoseUpdate decode_pose_update(const Buffer& framed) {
+  return decode_new<PoseUpdate>(framed);
+}
+DeliveryAck decode_delivery_ack(const Buffer& framed) {
+  return decode_new<DeliveryAck>(framed);
+}
+ReleaseAck decode_release_ack(const Buffer& framed) {
+  return decode_new<ReleaseAck>(framed);
+}
+TileHeader decode_tile_header(const Buffer& framed) {
+  return decode_new<TileHeader>(framed);
+}
+ConnectRequest decode_connect_request(const Buffer& framed) {
+  return decode_new<ConnectRequest>(framed);
+}
+AdmitResponse decode_admit_response(const Buffer& framed) {
+  return decode_new<AdmitResponse>(framed);
+}
+DisconnectNotice decode_disconnect_notice(const Buffer& framed) {
+  return decode_new<DisconnectNotice>(framed);
+}
+UserHandoff decode_user_handoff(const Buffer& framed) {
+  return decode_new<UserHandoff>(framed);
 }
 
 }  // namespace cvr::proto

@@ -166,22 +166,48 @@ struct UserHandoff {
   friend bool operator==(const UserHandoff&, const UserHandoff&) = default;
 };
 
-// Encoders: framed buffers ready for the wire.
-Buffer encode(const PoseUpdate& message);
-Buffer encode(const DeliveryAck& message);
-Buffer encode(const ReleaseAck& message);
-Buffer encode(const TileHeader& message);
-Buffer encode(const ConnectRequest& message);
-Buffer encode(const AdmitResponse& message);
-Buffer encode(const DisconnectNotice& message);
-Buffer encode(const UserHandoff& message);
+// Encoders: each writes one framed message into `out` in a single pass,
+// replacing its contents and keeping its capacity, so a recycled buffer
+// encodes without heap allocation (see the codec.h contract). Throw
+// std::invalid_argument on an invariant violation, leaving `out`
+// unspecified.
+void encode(const PoseUpdate& message, Buffer& out);
+void encode(const DeliveryAck& message, Buffer& out);
+void encode(const ReleaseAck& message, Buffer& out);
+void encode(const TileHeader& message, Buffer& out);
+void encode(const ConnectRequest& message, Buffer& out);
+void encode(const AdmitResponse& message, Buffer& out);
+void encode(const DisconnectNotice& message, Buffer& out);
+void encode(const UserHandoff& message, Buffer& out);
+
+/// Encodes into a new buffer (wraps the in-place encoder).
+template <typename Message>
+Buffer encode(const Message& message) {
+  Buffer out;
+  encode(message, out);
+  return out;
+}
 
 /// Peeks the type tag of a framed message without fully decoding it.
 /// Throws std::runtime_error on framing/CRC errors or unknown tags.
 MessageType peek_type(const Buffer& framed);
 
-// Decoders: throw std::runtime_error on wrong tag, framing error, CRC
-// mismatch, or invariant violation (e.g. packet_index >= packet_count).
+// Decoders: each overwrites every field of `out` from the framed bytes,
+// which are read where they lie; a tile list decodes into out.tiles,
+// keeping its capacity. Throw std::runtime_error on wrong tag, framing
+// error, CRC mismatch, or invariant violation (e.g. packet_index >=
+// packet_count), and std::out_of_range on truncation; `out` is then
+// unspecified.
+void decode(const Buffer& framed, PoseUpdate& out);
+void decode(const Buffer& framed, DeliveryAck& out);
+void decode(const Buffer& framed, ReleaseAck& out);
+void decode(const Buffer& framed, TileHeader& out);
+void decode(const Buffer& framed, ConnectRequest& out);
+void decode(const Buffer& framed, AdmitResponse& out);
+void decode(const Buffer& framed, DisconnectNotice& out);
+void decode(const Buffer& framed, UserHandoff& out);
+
+// Decoders into a new message (wrap the in-place decoders).
 PoseUpdate decode_pose_update(const Buffer& framed);
 DeliveryAck decode_delivery_ack(const Buffer& framed);
 ReleaseAck decode_release_ack(const Buffer& framed);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/content/client_buffer.h"
@@ -25,9 +26,12 @@ struct ClientConfig {
 
 /// What the network delivered to a client in one slot.
 struct SlotDelivery {
-  std::vector<content::VideoId> tiles;  ///< Tiles transmitted this slot.
-  std::vector<bool> complete;           ///< Per tile: no packet lost.
-  double delay_ms = 0.0;                ///< First-to-last packet duration.
+  /// Tiles transmitted this slot: a view of the sender's list (the
+  /// slot pipeline passes its tile request's), which must outlive the
+  /// process_slot call.
+  std::span<const content::VideoId> tiles;
+  std::vector<bool> complete;  ///< Per tile: no packet lost.
+  double delay_ms = 0.0;       ///< First-to-last packet duration.
 };
 
 /// The client's verdict for one frame.
@@ -54,8 +58,12 @@ class Client {
   /// Ingests a slot's delivery and attempts to display the frame whose
   /// actual FoV needs `needed` tiles (every tile in `needed` must be
   /// resident after ingestion for the frame's content to be correct).
-  DisplayOutcome process_slot(const SlotDelivery& delivery,
-                              const std::vector<content::VideoId>& needed);
+  /// Overwrites every field of `out`; its ACK vectors keep their
+  /// capacity, so a recycled outcome makes no heap allocation once they
+  /// have grown.
+  void process_slot(const SlotDelivery& delivery,
+                    const std::vector<content::VideoId>& needed,
+                    DisplayOutcome& out);
 
   const content::ClientTileBuffer& buffer() const { return buffer_; }
   std::uint64_t frames_displayed() const { return frames_displayed_; }

@@ -404,13 +404,11 @@ void Server::make_request(std::size_t u, core::QualityLevel level,
   }
 
   // Megabits of ids[begin, end), summed in order.
+  content::TilePricer pricer(content_db_);
   auto set_megabits = [&](const std::vector<content::VideoId>& ids,
                           std::size_t begin, std::size_t end) {
     double total = 0.0;
-    for (std::size_t k = begin; k < end; ++k) {
-      total +=
-          content_db_.tile_size_megabits(content::unpack_video_id(ids[k]));
-    }
+    for (std::size_t k = begin; k < end; ++k) total += pricer.megabits(ids[k]);
     return total;
   };
 

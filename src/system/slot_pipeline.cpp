@@ -35,6 +35,7 @@ AccessNetwork build_access_network(const SystemSimConfig& config,
   // round-robin interleaving.
   AccessNetwork net;
   net.router_of.resize(n_users);
+  net.index_in_router.resize(n_users);
   net.router_users.resize(n_routers);
   const std::size_t group = (n_users + n_routers - 1) / n_routers;
   for (std::size_t u = 0; u < n_users; ++u) {
@@ -43,6 +44,7 @@ AccessNetwork build_access_network(const SystemSimConfig& config,
             ? std::min(u / group, n_routers - 1)
             : u % n_routers;
     net.router_of[u] = r;
+    net.index_in_router[u] = net.router_users[r].size();
     net.router_users[r].push_back(u);
   }
   net.routers.reserve(n_routers);
@@ -180,8 +182,8 @@ void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
   // Pose upload over the TCP side channel: one slot of latency, every
   // pose_upload_period-th slot ("upload the trace to the server
   // through TCP periodically"). The message rides the real wire format
-  // (encode -> decode), so the protocol codec is exercised by every
-  // simulated upload.
+  // (encode -> decode through the server's recycled frame), so the
+  // protocol codec is exercised by every simulated upload.
   if (t >= 1 && (t - 1) % config.pose_upload_period == 0) {
     telemetry::PhaseSpan ingest_span(telemetry, telemetry::Phase::kPoseIngest,
                                      telemetry::Collector::kServerPid, slot);
@@ -195,8 +197,9 @@ void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
       upload.user = static_cast<std::uint32_t>(u);
       upload.slot = t - 1;
       upload.pose = run.worlds[u].trace[t - 1];
-      const proto::PoseUpdate received =
-          proto::decode_pose_update(proto::encode(upload));
+      proto::encode(upload, edge.pose_wire);
+      proto::PoseUpdate received;
+      proto::decode(edge.pose_wire, received);
       edge.server.on_pose(received.user, received.slot, received.pose);
       if (telemetry != nullptr) {
         telemetry->count(telemetry::Counter::kPoseUploads);
@@ -296,9 +299,9 @@ const std::vector<double>& serve_routers(SimRun& run, std::int64_t slot) {
     for (std::size_t u : net.router_users[r]) {
       demands.push_back(run.requests[u].demand_mbps);
     }
-    const auto grants = net.routers[r].serve(demands);
+    net.routers[r].serve(demands, run.router_grants);
     for (std::size_t i = 0; i < net.router_users[r].size(); ++i) {
-      granted[net.router_users[r][i]] = grants[i];
+      granted[net.router_users[r][i]] = run.router_grants[i];
     }
   }
   return granted;
@@ -325,12 +328,11 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
   telemetry::Collector* telemetry = run.telemetry;
   const std::int64_t slot = static_cast<std::int64_t>(t);
 
+  SimRun::ServeScratch& scratch = run.serve;
+
   // The live per-user capacity of the router serving `u`.
-  const std::vector<std::size_t>& router_users = run.net.router_users[router];
-  const double capacity = run.net.routers[router].per_user_capacity(
-      static_cast<std::size_t>(
-          std::find(router_users.begin(), router_users.end(), u) -
-          router_users.begin()));
+  const double capacity =
+      run.net.routers[router].per_user_capacity(run.net.index_in_router[u]);
 
   // Realized delivery delay (ms): M/M/1 on the live link if the
   // router granted the full demand, saturated otherwise.
@@ -345,19 +347,19 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
   const double utilization =
       capacity > 1e-9 ? std::clamp(request.demand_mbps / capacity, 0.0, 1.0)
                       : 1.0;
-  SlotDelivery delivery;
+  SlotDelivery& delivery = scratch.delivery;
   delivery.delay_ms = delay_ms;
   delivery.tiles = request.tiles;
-  delivery.complete.reserve(request.tiles.size());
+  delivery.complete.clear();
   std::uint64_t slot_packets = 0;
   std::uint64_t slot_lost = 0;
   double retx_delay_ms = 0.0;
   {
     telemetry::PhaseSpan tx_span(telemetry, telemetry::Phase::kTransport,
                                  telemetry::Collector::user_pid(u), slot);
+    content::TilePricer pricer(server.content_db());
     for (content::VideoId id : request.tiles) {
-      const double megabits = server.content_db().tile_size_megabits(
-          content::unpack_video_id(id));
+      const double megabits = pricer.megabits(id);
       const auto tx =
           config.retransmit_rounds > 0
               ? world.transport.send_tile_with_retx(
@@ -395,25 +397,25 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
   // tolerance (footnote 1: the margin never fixes position misses).
   const bool position_ok =
       predicted.position_distance(actual) <= user_fov.position_tolerance_m;
-  std::vector<content::VideoId> needed;
+  std::vector<content::VideoId>& needed = scratch.needed;
+  needed.clear();
   if (!request.full_set.empty()) {
     const content::TileKey delivered_key =
         content::unpack_video_id(request.full_set.front());
     int needed_tiles[content::kTilesPerFrame];
     const int needed_count =
         content::tiles_for_view(run.unmargined, actual, needed_tiles);
-    needed.reserve(static_cast<std::size_t>(needed_count));
     for (int i = 0; i < needed_count; ++i) {
       needed.push_back(
           content::pack_video_id({delivered_key.cell, needed_tiles[i], level}));
     }
   }
 
-  DisplayOutcome outcome;
+  DisplayOutcome& outcome = scratch.outcome;
   {
     telemetry::PhaseSpan decode_span(telemetry, telemetry::Phase::kDecode,
                                      telemetry::Collector::user_pid(u), slot);
-    outcome = world.client.process_slot(delivery, needed);
+    world.client.process_slot(delivery, needed, outcome);
   }
   const bool viewed = outcome.correct_content && position_ok;
 
@@ -485,27 +487,34 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
   }
   // ACKs cross the TCP side channel in wire format; with the default
   // zero-latency channel a healthy slot's send/receive round-trip is
-  // exactly a direct delivery.
+  // exactly a direct delivery. Each message is encoded and decoded
+  // back over itself (every field is overwritten from the wire bytes);
+  // the message, frame and receive vectors are recycled scratch, and
+  // copy-assignment keeps the tile vectors' capacity.
   if (!outcome.delivery_acks.empty()) {
-    proto::DeliveryAck ack;
+    proto::DeliveryAck& ack = scratch.delivery_ack;
     ack.user = static_cast<std::uint32_t>(u);
     ack.slot = t;
     ack.tiles = outcome.delivery_acks;
-    world.delivery_channel.send(t,
-                                proto::decode_delivery_ack(proto::encode(ack)));
+    proto::encode(ack, scratch.wire);
+    proto::decode(scratch.wire, ack);
+    world.delivery_channel.send(t, ack);
   }
   if (!outcome.release_acks.empty()) {
-    proto::ReleaseAck ack;
+    proto::ReleaseAck& ack = scratch.release_ack;
     ack.user = static_cast<std::uint32_t>(u);
     ack.slot = t;
     ack.tiles = outcome.release_acks;
-    world.release_channel.send(t,
-                               proto::decode_release_ack(proto::encode(ack)));
+    proto::encode(ack, scratch.wire);
+    proto::decode(scratch.wire, ack);
+    world.release_channel.send(t, ack);
   }
-  for (const proto::DeliveryAck& ack : world.delivery_channel.receive(t)) {
+  for (const proto::DeliveryAck& ack :
+       world.delivery_channel.receive(t, scratch.delivery_received)) {
     server.on_delivery_acks(u, ack.tiles);
   }
-  for (const proto::ReleaseAck& ack : world.release_channel.receive(t)) {
+  for (const proto::ReleaseAck& ack :
+       world.release_channel.receive(t, scratch.release_received)) {
     server.on_release_acks(u, ack.tiles);
   }
   if (!ack_stalled) {

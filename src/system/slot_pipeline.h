@@ -53,9 +53,13 @@ struct UserWorld {
 };
 
 /// The user-keyed radio access layer: which router each user sits
-/// behind, the per-router member lists, and the routers themselves.
+/// behind and at which index among its members, the per-router member
+/// lists, and the routers themselves.
 struct AccessNetwork {
   std::vector<std::size_t> router_of;
+  /// User u's index in router_users[router_of[u]] (its per-user lane in
+  /// the router).
+  std::vector<std::size_t> index_in_router;
   std::vector<std::vector<std::size_t>> router_users;
   std::vector<net::Router> routers;
 };
@@ -103,8 +107,27 @@ class SimRun {
   // Written by serve_routers, after every step_server of the slot.
   /// This slot's router grant per user.
   std::vector<double> granted;
-  /// Per-router demand gather scratch, recycled across slots.
+  /// Per-router demand gather and grant scratch, recycled across slots.
   std::vector<double> router_demands;
+  std::vector<double> router_grants;
+
+  /// serve_member's working storage, recycled from user to user and
+  /// slot to slot so a served user makes no heap allocation in steady
+  /// state: the client's delivery (a view of the request's tiles plus
+  /// per-tile completeness), the actual-FoV tiles, the client's
+  /// outcome, and the ACK wire round trip (each message is encoded to
+  /// `wire` and decoded back over itself, and the channels drain into
+  /// the receive vectors).
+  struct ServeScratch {
+    SlotDelivery delivery;
+    std::vector<content::VideoId> needed;
+    DisplayOutcome outcome;
+    proto::DeliveryAck delivery_ack;
+    proto::ReleaseAck release_ack;
+    proto::Buffer wire;
+    std::vector<proto::DeliveryAck> delivery_received;
+    std::vector<proto::ReleaseAck> release_received;
+  } serve;
 
  private:
   core::Allocator& borrower_;  ///< The allocator lent pool_.
@@ -112,9 +135,10 @@ class SimRun {
 };
 
 /// One edge server and its per-slot working storage: the arena recycles
-/// the SlotProblem the server builds into and the allocation keeps its
-/// levels capacity, so the estimate -> allocate hot path stays
-/// heap-allocation-free in steady state (see src/core/slot_arena.h).
+/// the SlotProblem the server builds into, the allocation keeps its
+/// levels capacity and the pose frame its bytes, so the pose ingest ->
+/// estimate -> allocate hot path stays heap-allocation-free in steady
+/// state (see src/core/slot_arena.h).
 struct EdgeServer {
   EdgeServer(const ServerConfig& config, std::size_t users)
       : server(config, users) {}
@@ -125,6 +149,8 @@ struct EdgeServer {
   /// The users this server serves this slot, in problem order.
   std::vector<std::size_t> members;
   double budget = 0.0;  ///< This slot's server bandwidth B (constraint (6)).
+  /// Pose-upload frame, recycled across uploads.
+  proto::Buffer pose_wire;
 };
 
 /// Applies the slot's router fault multipliers and steps every router.

@@ -72,6 +72,33 @@ void validate(const SystemSimConfig& config) {
                               "server.params.alpha");
   require_finite_non_negative(config.server.params.beta,
                               "server.params.beta");
+  require_finite_non_negative(config.delay_measurement_window_ms,
+                              "delay_measurement_window_ms");
+  if (!std::isfinite(config.client.display_deadline_ms) ||
+      config.client.display_deadline_ms <= 0.0) {
+    throw std::invalid_argument(
+        "SystemSimConfig.client.display_deadline_ms: must be finite and "
+        "positive");
+  }
+  if (config.client.buffer_threshold == 0) {
+    throw std::invalid_argument(
+        "SystemSimConfig.client.buffer_threshold: must be positive");
+  }
+  for (std::size_t i = 0; i < config.devices.size(); ++i) {
+    if (config.devices[i].buffer_threshold == 0) {
+      throw std::invalid_argument("SystemSimConfig.devices[" +
+                                  std::to_string(i) +
+                                  "].buffer_threshold: must be positive");
+    }
+  }
+  if (config.server.cache.capacity_tiles == 0) {
+    throw std::invalid_argument(
+        "SystemSimConfig.server.cache.capacity_tiles: must be positive");
+  }
+  if (!(config.server.ema_alpha > 0.0 && config.server.ema_alpha <= 1.0)) {
+    throw std::invalid_argument(
+        "SystemSimConfig.server.ema_alpha: must lie in (0, 1]");
+  }
 }
 
 SystemSim::SystemSim(SystemSimConfig config) : config_(std::move(config)) {

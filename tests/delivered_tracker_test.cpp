@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
+#include "src/util/rng.h"
+
 namespace cvr::content {
 namespace {
 
@@ -61,6 +65,44 @@ TEST(DeliveredTileTracker, DuplicateDeliveryIdempotent) {
   tracker.mark_delivered(id(1));
   tracker.mark_delivered(id(1));
   EXPECT_EQ(tracker.delivered_count(), 1u);
+}
+
+TEST(DeliveredTileTracker, MatchesUnorderedSetThroughGrowthAndChurn) {
+  // Phases of delivery-heavy and release-heavy churn grow the set to
+  // several thousand ids (crossing every table doubling on the way) and
+  // drain it again; after every batch the tracker must agree with
+  // std::unordered_set on the count and on every id probed, present or
+  // not. Release batches delete runs of neighbouring ids, the
+  // backward-shift deletion's hardest case.
+  DeliveredTileTracker tracker;
+  std::unordered_set<VideoId> reference;
+  cvr::Rng rng(29);
+  std::vector<VideoId> batch;
+  for (int phase = 0; phase < 12; ++phase) {
+    const double deliver_share = phase % 3 == 2 ? 0.2 : 0.75;
+    for (int step = 0; step < 2000; ++step) {
+      const int base = static_cast<int>(rng.uniform_int(0, 6000));
+      if (rng.bernoulli(deliver_share)) {
+        tracker.mark_delivered(id(base));
+        reference.insert(id(base));
+      } else {
+        batch.clear();
+        const int run = static_cast<int>(rng.uniform_int(1, 8));
+        for (int k = 0; k < run; ++k) batch.push_back(id(base + k));
+        tracker.mark_released(batch);
+        for (VideoId v : batch) reference.erase(v);
+      }
+      ASSERT_EQ(tracker.delivered_count(), reference.size());
+      for (int k = 0; k < 4; ++k) {
+        const VideoId probe = id(static_cast<int>(rng.uniform_int(0, 6010)));
+        ASSERT_EQ(tracker.needs_transmit(probe), !reference.contains(probe))
+            << "phase " << phase << ", step " << step;
+      }
+    }
+  }
+  for (int n = 0; n <= 6010; ++n) {
+    ASSERT_EQ(tracker.needs_transmit(id(n)), !reference.contains(id(n)));
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "src/util/rng.h"
 
@@ -12,6 +13,13 @@ namespace {
 
 content::VideoId vid(int n, content::QualityLevel q = 3) {
   return content::pack_video_id({{n, n + 1}, n % 4, q});
+}
+
+/// A copy of the payload of the single frame in `framed`.
+Buffer payload_of(const Buffer& framed) {
+  Reader reader(framed);
+  const auto payload = unframe(reader).unread();
+  return Buffer(payload.begin(), payload.end());
 }
 
 TEST(Messages, PoseUpdateRoundTrip) {
@@ -243,15 +251,13 @@ TEST(Messages, UserHandoffHostileBytesRejectedOnDecode) {
   // Unknown flag bits must be rejected even under a *correct* CRC:
   // unframe the payload, set flags bit 3 (the byte sits just before the
   // trailing 8-byte transmit_fraction), and re-frame.
-  Reader reader(wire);
-  Buffer payload = unframe(reader);
+  Buffer payload = payload_of(wire);
   payload[payload.size() - 9] |= 0x08;
   EXPECT_THROW(decode_user_handoff(frame(payload)), std::runtime_error);
 
   // Same trick with a field-level violation: a transmit_fraction above
   // 1 under a valid envelope trips the decode-side range check.
-  Reader reader2(wire);
-  Buffer payload2 = unframe(reader2);
+  Buffer payload2 = payload_of(wire);
   payload2.resize(payload2.size() - 8);  // drop the trailing f64
   Writer tail(payload2);
   tail.f64(2.0);
@@ -272,6 +278,159 @@ TEST(Messages, RandomisedRoundTripSweep) {
     }
     EXPECT_EQ(decode_delivery_ack(encode(message)), message);
   }
+}
+
+// --- Wire-format pin --------------------------------------------------
+//
+// One encoding of each message type, as hex, captured from the
+// byte-at-a-time encoder that preceded the in-place one. Any change to
+// these bytes is a wire-format break: a client built against either
+// encoder must read the other's frames.
+
+std::string hex(const Buffer& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(digits[b >> 4]);
+    out.push_back(digits[b & 0xF]);
+  }
+  return out;
+}
+
+/// Encodes through the returned-Buffer wrapper and in place into a
+/// recycled buffer holding stale bytes; both must give the pinned hex,
+/// and the pinned bytes must decode back to the message.
+template <typename Message, typename Decode>
+void expect_pinned(const Message& message, const std::string& pinned,
+                   Decode decode_new) {
+  EXPECT_EQ(hex(encode(message)), pinned);
+  Buffer recycled(300, 0xAB);
+  encode(message, recycled);
+  EXPECT_EQ(hex(recycled), pinned);
+  EXPECT_EQ(decode_new(recycled), message);
+  Message in_place;
+  decode(recycled, in_place);
+  EXPECT_EQ(in_place, message);
+}
+
+TEST(Messages, WireBytesGolden) {
+  PoseUpdate pose;
+  pose.user = 7;
+  pose.slot = 123456789ull;
+  pose.pose = {1.25, -2.5, 1.6, -123.5, 42.0, 0.125};
+  expect_pinned(pose,
+                "3d000000010700000015cd5b0700000000000000000000f43f00000000"
+                "000004c09a9999999999f93f0000000000e05ec0000000000000454000"
+                "0000000000c03fa3b26f2b",
+                decode_pose_update);
+
+  DeliveryAck delivery;
+  delivery.user = 3;
+  delivery.slot = 42;
+  delivery.tiles = {content::pack_video_id({{12, -3}, 2, 5}),
+                    content::pack_video_id({{0, 7}, 0, 1}),
+                    content::pack_video_id({{199, 159}, 3, 6})};
+  expect_pinned(delivery,
+                "2900000002030000002a0000000000000003000000b5ffff8f01001000"
+                "e100001000001000fe1300f0180010007d855eb4",
+                decode_delivery_ack);
+
+  ReleaseAck release;
+  release.user = 14;
+  release.slot = 9000;
+  release.tiles = {content::pack_video_id({{5, 5}, 1, 3})};
+  expect_pinned(release,
+                "19000000030e000000282300000000000001000000ab0000b000001000"
+                "c60d608a",
+                decode_release_ack);
+
+  TileHeader header;
+  header.video_id = content::pack_video_id({{40, 60}, 1, 4});
+  header.packet_index = 3;
+  header.packet_count = 17;
+  header.slot = 1000;
+  expect_pinned(header,
+                "19000000048c070010050010000300000011000000e803000000000000"
+                "92241c03",
+                decode_tile_header);
+
+  ConnectRequest connect;
+  connect.session = 0x0102030405060708ull;
+  connect.slot = 77;
+  connect.qos_ms = 15.15;
+  expect_pinned(connect,
+                "190000000508070605040302014d00000000000000cdcccccccc4c2e40"
+                "f6c5733c",
+                decode_connect_request);
+
+  AdmitResponse admit;
+  admit.session = 99;
+  admit.slot = 78;
+  admit.decision = WireAdmission::kDegrade;
+  admit.level_cap = 1;
+  expect_pinned(admit,
+                "130000000663000000000000004e0000000000000001018ae1f6a4",
+                decode_admit_response);
+
+  DisconnectNotice disconnect;
+  disconnect.session = 99;
+  disconnect.slot = 5000;
+  expect_pinned(disconnect,
+                "110000000763000000000000008813000000000000bfac1c2f",
+                decode_disconnect_notice);
+
+  UserHandoff handoff;
+  handoff.user = 11;
+  handoff.slot = 4321;
+  handoff.delta_hits = 37.5;
+  handoff.delta_count = 40;
+  handoff.base_hits = 12.0;
+  handoff.base_count = 16;
+  handoff.qbar_sum = 88.25;
+  handoff.qbar_slots = 30;
+  handoff.bandwidth_mbps = 47.125;
+  handoff.bandwidth_observations = 29;
+  handoff.pose = {3.5, 4.25, 1.6, 170.0, -10.5, 2.0};
+  handoff.pose_slot = 4319;
+  handoff.has_pose = true;
+  handoff.pose_stale = true;
+  handoff.transmit_fraction = 0.375;
+  expect_pinned(handoff,
+                "8e000000080b000000e1100000000000000000000000c0424028000000"
+                "000000000000000000002840100000000000000000000000001056401e"
+                "0000000000000000000000009047401d000000000000000000000000000c"
+                "4000000000000011409a9999999999f93f000000000040654000000000"
+                "000025c00000000000000040df1000000000000005000000000000d83f"
+                "31617db9",
+                decode_user_handoff);
+}
+
+TEST(Messages, InPlaceDecodeReplacesStaleTiles) {
+  DeliveryAck message;
+  message.user = 2;
+  message.slot = 8;
+  message.tiles = {vid(4), vid(5, 2)};
+  const Buffer wire = encode(message);
+  DeliveryAck recycled;
+  recycled.user = 99;
+  recycled.tiles = {vid(1), vid(2), vid(3), vid(6), vid(7)};
+  decode(wire, recycled);
+  EXPECT_EQ(recycled, message);
+}
+
+TEST(Messages, HostileTileCountRejectedAsTruncation) {
+  // A tile count larger than the payload can hold, under a valid CRC,
+  // is truncation (the decoder checks it before sizing anything from
+  // it; the count here stays small enough that a regression could not
+  // exhaust memory).
+  Buffer payload;
+  Writer writer(payload);
+  writer.u8(static_cast<std::uint8_t>(MessageType::kDeliveryAck));
+  writer.u32(1);
+  writer.u64(2);
+  writer.u32(1u << 20);
+  writer.u64(vid(1));
+  EXPECT_THROW(decode_delivery_ack(frame(payload)), std::out_of_range);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // SlotArena reuse semantics and the zero-allocation contract of the
 // per-slot hot path: in steady state, the allocator path and the
 // system slot's delay refit, tile cache, problem build and tile
-// requests perform zero heap allocations per slot.
+// requests perform zero heap allocations per slot, and a whole system
+// slot (pose ingest through ACK feedback) at most the content-DB memo's
+// first-visit entries.
 //
 // The counting allocator below replaces the global operator new/delete
 // for THIS binary only and counts every heap allocation; the zero-alloc
@@ -23,8 +25,11 @@
 #include "src/core/htable.h"
 #include "src/core/pavq.h"
 #include "src/core/slot_arena.h"
+#include "src/fleet/fleet_sim.h"
 #include "src/net/estimators.h"
 #include "src/system/server.h"
+#include "src/system/slot_pipeline.h"
+#include "src/system/system_sim.h"
 #include "src/util/rng.h"
 #include "tests/core_test_util.h"
 
@@ -320,6 +325,80 @@ TEST(ZeroAllocation, ServerBuildAndRequestSteadyState) {
   EXPECT_EQ(problem.users.size(), kUsers);
   EXPECT_FALSE(requests[0].full_set.empty());
   EXPECT_EQ(allocations, 0u) << "heap allocations in 10 steady-state slots";
+}
+
+TEST(ZeroAllocation, SystemSimSteadyStateSlot) {
+  // The paper's 15-user two-router prototype, driven slot by slot
+  // exactly as SystemSim::run does: router step, the edge server's
+  // pose ingest + build + solve + requests, router service, then every
+  // member's transmission, decode, display and ACK round trip. After
+  // the warm-up (client buffers filled to their thresholds, every
+  // recycled vector and table at its high-water size), what is left is
+  // growth on first visits to a cell: the content-DB memo's storage
+  // (one chunk per 256 new cells, plus its index doubling) and the
+  // tile cache's stamp ring. The walking users reach about three new
+  // cells per slot, which costs about 8 allocations in these 500 slots
+  // (the node-based path before them made about 340 per slot); the
+  // bound allows one per ten slots.
+  constexpr std::size_t kUsers = 15;
+  constexpr std::size_t kWarmUp = 1500;
+  constexpr std::size_t kMeasured = 500;
+  system::SystemSimConfig config = system::setup_two_routers(kUsers);
+  config.slots = kWarmUp + kMeasured;
+  DvGreedyAllocator allocator;
+  system::SimRun run(config, 0, allocator, nullptr, nullptr);
+  system::EdgeServer edge(run.server_config, kUsers);
+  edge.budget = edge.server.server_bandwidth();
+  edge.members.resize(kUsers);
+  std::iota(edge.members.begin(), edge.members.end(), std::size_t{0});
+  const auto slot = [&](std::size_t t) {
+    system::step_routers(run.net, config.faults, t);
+    system::step_server(run, edge, allocator, t);
+    const std::vector<double>& granted =
+        system::serve_routers(run, static_cast<std::int64_t>(t));
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      system::serve_member(run, edge, u, t, granted[u]);
+    }
+  };
+  for (std::size_t t = 0; t < kWarmUp; ++t) slot(t);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t t = kWarmUp; t < kWarmUp + kMeasured; ++t) slot(t);
+  const std::size_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_GT(run.worlds[0].client.buffer().released_total(), 0u)
+      << "warm-up too short: client buffers never reached their threshold";
+  EXPECT_LE(allocations, kMeasured / 10)
+      << allocations << " heap allocations in " << kMeasured
+      << " steady-state slots";
+}
+
+TEST(ZeroAllocation, FleetSimSteadyStateSlots) {
+  // FleetSim::run owns its slot loop, so the steady-state cost is
+  // measured as the difference between a 1000-slot and a 2000-slot run
+  // of the same fleet (same seed, so the same first 1000 slots): 24
+  // users on 4 servers with periodic checkpoints, every user's carried
+  // state encoded into its recycled frame. What remains is first-visit
+  // growth, as in the SystemSim slot above: about 100 allocations in
+  // the extra 1000 slots (the node-based path before made about 590
+  // per slot); the bound allows one per four slots.
+  const auto run_allocations = [](std::size_t slots) {
+    fleet::FleetConfig config;
+    config.base = system::setup_two_routers(24);
+    config.base.slots = slots;
+    config.servers = 4;
+    config.backhaul_mbps = 1600.0;
+    const fleet::FleetSim fleet(config);
+    DvGreedyAllocator allocator;
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    fleet.run(allocator, 0);
+    return g_allocations.load(std::memory_order_relaxed) - before;
+  };
+  const std::size_t short_run = run_allocations(1000);
+  const std::size_t long_run = run_allocations(2000);
+  ASSERT_GE(long_run, short_run);
+  EXPECT_LE(long_run - short_run, 250u)
+      << (long_run - short_run)
+      << " heap allocations in the 1000 extra steady-state slots";
 }
 
 }  // namespace
