@@ -4,8 +4,8 @@
 // Fibonacci hashing, and deletion by backward shift, so no tombstone
 // ever lengthens a probe. Every operation is O(1) expected and touches
 // one contiguous run of slots; no entry is a separate heap node. It
-// indexes the tile cache's cell blocks, the client tile buffer, the
-// delivered-tile record and the content DB's cell memo.
+// indexes the client tile buffer, the delivered-tile record and the
+// content DB's cell memo.
 //
 // The table grows lazily: an empty one holds no storage, and it only
 // ever grows (doubling), so a table that has reached its high-water

@@ -52,7 +52,6 @@
 #include "src/content/equirect.h"
 #include "src/content/quality.h"
 #include "src/content/rate_function.h"
-#include "src/content/server_cache.h"
 #include "src/content/tile.h"
 
 // net

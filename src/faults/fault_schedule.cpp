@@ -9,6 +9,33 @@
 
 namespace cvr::faults {
 
+namespace {
+/// Inserts `event` after every event that starts no later, so the list
+/// stays sorted by start_slot and ties keep insertion order.
+void insert_by_start(std::vector<FaultEvent>& events, const FaultEvent& event) {
+  const auto at = std::upper_bound(
+      events.begin(), events.end(), event,
+      [](const FaultEvent& a, const FaultEvent& b) {
+        return a.start_slot < b.start_slot;
+      });
+  events.insert(at, event);
+}
+
+/// Orders index rows by target, for lower_bound.
+constexpr auto target_below = [](const auto& row, std::size_t target) {
+  return row.target < target;
+};
+
+/// True iff an event of `events` (sorted by start_slot) covers `slot`.
+bool any_active(std::span<const FaultEvent> events, std::size_t slot) {
+  for (const FaultEvent& e : events) {
+    if (e.start_slot > slot) break;
+    if (e.active_at(slot)) return true;
+  }
+  return false;
+}
+}  // namespace
+
 void FaultSchedule::add(FaultEvent event) {
   if (event.duration_slots == 0) {
     throw std::invalid_argument("FaultSchedule: zero-duration event");
@@ -23,74 +50,73 @@ void FaultSchedule::add(FaultEvent event) {
     throw std::invalid_argument(
         "FaultSchedule: router outage severity must be in [0, 1)");
   }
-  const auto at = std::upper_bound(
-      events_.begin(), events_.end(), event,
-      [](const FaultEvent& a, const FaultEvent& b) {
-        return a.start_slot < b.start_slot;
-      });
-  events_.insert(at, event);
+  insert_by_start(events_, event);
+  // The same stable insertion keeps each row in events_ order.
+  std::vector<Row>& rows = rows_[static_cast<std::size_t>(event.type)];
+  const std::size_t target =
+      event.type == FaultType::kCacheFlush ? 0 : event.target;
+  auto at = std::lower_bound(rows.begin(), rows.end(), target, target_below);
+  if (at == rows.end() || at->target != target) {
+    at = rows.insert(at, Row{target, {}});
+  }
+  insert_by_start(at->events, event);
 }
 
-namespace {
-bool user_event_active(const std::vector<FaultEvent>& events, FaultType type,
-                       std::size_t target, std::size_t slot) {
-  for (const FaultEvent& e : events) {
-    if (e.start_slot > slot) break;  // sorted by start_slot
-    if (e.type == type && e.target == target && e.active_at(slot)) return true;
-  }
-  return false;
+std::span<const FaultEvent> FaultSchedule::row(FaultType type,
+                                               std::size_t target) const {
+  const std::vector<Row>& rows = rows_[static_cast<std::size_t>(type)];
+  const auto at =
+      std::lower_bound(rows.begin(), rows.end(), target, target_below);
+  if (at == rows.end() || at->target != target) return {};
+  return at->events;
 }
-}  // namespace
 
 bool FaultSchedule::user_disconnected(std::size_t user,
                                       std::size_t slot) const {
-  return user_event_active(events_, FaultType::kUserDisconnect, user, slot);
+  return any_active(row(FaultType::kUserDisconnect, user), slot);
 }
 
 bool FaultSchedule::pose_blackout(std::size_t user, std::size_t slot) const {
-  return user_event_active(events_, FaultType::kPoseBlackout, user, slot);
+  return any_active(row(FaultType::kPoseBlackout, user), slot);
 }
 
 bool FaultSchedule::ack_stalled(std::size_t user, std::size_t slot) const {
-  return user_event_active(events_, FaultType::kAckStall, user, slot);
+  return any_active(row(FaultType::kAckStall, user), slot);
 }
 
 double FaultSchedule::router_capacity_multiplier(std::size_t router,
                                                  std::size_t slot) const {
+  // Multiplied in start-slot order, as the events are listed: the
+  // product of several outages is order-sensitive in the last bit.
   double multiplier = 1.0;
-  for (const FaultEvent& e : events_) {
+  for (const FaultEvent& e : row(FaultType::kRouterOutage, router)) {
     if (e.start_slot > slot) break;
-    if (e.type == FaultType::kRouterOutage && e.target == router &&
-        e.active_at(slot)) {
-      multiplier *= e.severity;
-    }
+    if (e.active_at(slot)) multiplier *= e.severity;
   }
   return multiplier;
 }
 
 bool FaultSchedule::cache_flush_at(std::size_t slot) const {
-  for (const FaultEvent& e : events_) {
+  for (const FaultEvent& e : row(FaultType::kCacheFlush, 0)) {
     if (e.start_slot > slot) break;
-    if (e.type == FaultType::kCacheFlush && e.start_slot == slot) return true;
+    if (e.start_slot == slot) return true;
   }
   return false;
 }
 
 bool FaultSchedule::server_crashed(std::size_t server,
                                    std::size_t slot) const {
-  for (const FaultEvent& e : events_) {
+  const std::span<const FaultEvent> recovers =
+      row(FaultType::kServerRecover, server);
+  for (const FaultEvent& e : row(FaultType::kServerCrash, server)) {
     if (e.start_slot > slot) break;
-    if (e.type != FaultType::kServerCrash || e.target != server ||
-        !e.active_at(slot)) {
-      continue;
-    }
+    if (!e.active_at(slot)) continue;
     // A recover starting after this crash began and at or before `slot`
     // truncates the window — the server restarted early.
     bool truncated = false;
-    for (const FaultEvent& r : events_) {
+    for (const FaultEvent& r : recovers) {
       if (r.start_slot > slot) break;
-      if (r.type == FaultType::kServerRecover && r.target == server &&
-          r.start_slot > e.start_slot) {
+      if (r.start_slot > e.start_slot) {
         truncated = true;
         break;
       }
@@ -102,34 +128,19 @@ bool FaultSchedule::server_crashed(std::size_t server,
 
 bool FaultSchedule::server_partitioned(std::size_t server,
                                        std::size_t slot) const {
-  return user_event_active(events_, FaultType::kFleetPartition, server, slot);
+  return any_active(row(FaultType::kFleetPartition, server), slot);
 }
 
 bool FaultSchedule::any_fault_for_user(std::size_t user, std::size_t router,
                                        std::size_t slot) const {
-  for (const FaultEvent& e : events_) {
-    if (e.start_slot > slot) break;
-    if (!e.active_at(slot)) continue;
-    switch (e.type) {
-      case FaultType::kUserDisconnect:
-      case FaultType::kPoseBlackout:
-      case FaultType::kAckStall:
-        if (e.target == user) return true;
-        break;
-      case FaultType::kRouterOutage:
-        if (e.target == router) return true;
-        break;
-      case FaultType::kCacheFlush:
-        return true;
-      case FaultType::kServerCrash:
-      case FaultType::kServerRecover:
-      case FaultType::kFleetPartition:
-        // Server-scoped: membership lives in the fleet controller, which
-        // accounts orphaned slots itself (see header).
-        break;
-    }
-  }
-  return false;
+  // Server-scoped events never count: membership lives in the fleet
+  // controller, which accounts orphaned slots itself (see header). A
+  // cache flush hits everyone.
+  return any_active(row(FaultType::kUserDisconnect, user), slot) ||
+         any_active(row(FaultType::kPoseBlackout, user), slot) ||
+         any_active(row(FaultType::kAckStall, user), slot) ||
+         any_active(row(FaultType::kRouterOutage, router), slot) ||
+         any_active(row(FaultType::kCacheFlush, 0), slot);
 }
 
 std::size_t FaultSchedule::horizon() const {

@@ -4,7 +4,7 @@
 // — fading, interference bursts, RTP loss. Real deployments also face
 // *discrete* faults: clients disconnecting and rejoining, pose-upload
 // blackouts, ACK side-channel stalls, bandwidth cliffs, and server
-// restarts that wipe warm caches. A FaultSchedule is a typed, sorted
+// restarts that wipe warm state. A FaultSchedule is a typed, sorted
 // list of such events that system::SystemSim consumes per slot; the
 // schedule is pure data, so the same schedule replays bit-identically
 // and an *empty* schedule leaves the emulation byte-for-byte unchanged
@@ -15,8 +15,10 @@
 // bench/resilience_chaos sweeps. See docs/resilience.md.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace cvr::faults {
@@ -39,10 +41,11 @@ enum class FaultType {
   /// window (0 = total outage, 0.1 = a 90% cliff). Targets a router, so
   /// it hits every user behind it at once.
   kRouterOutage,
-  /// The server loses its warm state at start_slot: per-user tile
-  /// caches and delivered-tile trackers are flushed (a crash-restart
-  /// that keeps the allocator's estimators alive). Instantaneous;
-  /// duration_slots only widens the recovery-accounting window.
+  /// The server loses its warm state at start_slot: every user's
+  /// delivered-tile tracker is emptied, so tiles the clients already
+  /// hold are sent again (a crash-restart that keeps the allocator's
+  /// estimators alive). Instantaneous; duration_slots only widens the
+  /// recovery-accounting window.
   kCacheFlush,
   /// Fleet scope (fleet::FleetSim, docs/fleet.md): edge server `target`
   /// is down for the window — its members are orphaned and must be
@@ -104,8 +107,10 @@ class FaultSchedule {
   std::size_t size() const { return events_.size(); }
   const std::vector<FaultEvent>& events() const { return events_; }
 
-  /// Per-slot queries, all O(events). An empty schedule answers false /
-  /// 1.0 everywhere.
+  /// Per-slot queries. Each scans only the queried target's events of
+  /// the queried type (an index add() keeps), up to the first that
+  /// starts after `slot`. An empty schedule answers false / 1.0
+  /// everywhere.
   bool user_disconnected(std::size_t user, std::size_t slot) const;
   bool pose_blackout(std::size_t user, std::size_t slot) const;
   bool ack_stalled(std::size_t user, std::size_t slot) const;
@@ -137,7 +142,22 @@ class FaultSchedule {
   std::size_t horizon() const;
 
  private:
+  /// One target's events of one type, in the order of events_.
+  struct Row {
+    std::size_t target = 0;
+    std::vector<FaultEvent> events;
+  };
+  static constexpr std::size_t kTypeCount =  // kFleetPartition is last
+      static_cast<std::size_t>(FaultType::kFleetPartition) + 1;
+
+  /// The events of `type` on `target` (empty when there are none).
+  /// kCacheFlush events have no target; add() files them all under 0.
+  std::span<const FaultEvent> row(FaultType type, std::size_t target) const;
+
   std::vector<FaultEvent> events_;  // sorted by start_slot
+  /// The query index, built eagerly by add() so const queries on a
+  /// shared schedule only read: per type, rows sorted by target.
+  std::array<std::vector<Row>, kTypeCount> rows_;
 };
 
 /// Deterministic schedule generation: same config (seed included) =>

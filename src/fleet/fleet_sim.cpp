@@ -363,7 +363,7 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
 
     if (faults.cache_flush_at(t)) {
       for (std::size_t k = 0; k < n_servers; ++k) {
-        if (alive[k]) edges[k].server.flush_caches();
+        if (alive[k]) edges[k].server.forget_delivered_tiles();
       }
     }
 

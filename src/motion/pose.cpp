@@ -6,7 +6,11 @@
 namespace cvr::motion {
 
 double wrap_degrees(double angle) {
-  angle = std::fmod(angle + 180.0, 360.0);
+  // Most angles are already in range: fmod would return the shifted
+  // value unchanged, so skip it. NaN and infinities fall through.
+  const double shifted = angle + 180.0;
+  if (shifted >= 0.0 && shifted < 360.0) return shifted - 180.0;
+  angle = std::fmod(shifted, 360.0);
   if (angle < 0.0) angle += 360.0;
   return angle - 180.0;
 }

@@ -767,12 +767,13 @@ CheckResult check_fleet_events_appended(
   return pass();
 }
 
-/// The schedule's query methods agree with a brute-force scan over the
-/// raw event list at seeded probe points (including slots beyond the
-/// horizon).
-CheckResult check_fault_schedule_queries(
-    const faults::FaultScheduleConfig& config) {
-  const faults::FaultSchedule schedule = faults::generate_schedule(config);
+/// Every query of `schedule` agrees with a brute-force scan over its own
+/// event list at probe points drawn from `probe`: slots run past the
+/// horizon, and targets one past the config's range, past every event's
+/// target (an empty index row).
+CheckResult check_queries_against_scan(
+    const faults::FaultSchedule& schedule,
+    const faults::FaultScheduleConfig& config, cvr::Rng& probe) {
   const auto& events = schedule.events();
 
   std::size_t expected_horizon = 0;
@@ -794,19 +795,27 @@ CheckResult check_fault_schedule_queries(
     return false;
   };
 
-  cvr::Rng probe(config.seed ^ 0x51edu);
   for (int k = 0; k < 64; ++k) {
-    const auto user = static_cast<std::size_t>(
-        probe.uniform_int(0, static_cast<std::int64_t>(config.users) - 1));
-    const auto router = static_cast<std::size_t>(
-        probe.uniform_int(0, static_cast<std::int64_t>(config.routers) - 1));
+    auto user = static_cast<std::size_t>(
+        probe.uniform_int(0, static_cast<std::int64_t>(config.users)));
+    auto router = static_cast<std::size_t>(
+        probe.uniform_int(0, static_cast<std::int64_t>(config.routers)));
     // With servers == 0 the probe still queries server 0: a schedule
     // with no server-scoped events must answer false everywhere.
-    const auto server = static_cast<std::size_t>(probe.uniform_int(
-        0, std::max<std::int64_t>(
-               static_cast<std::int64_t>(config.servers) - 1, 0)));
-    const auto slot = static_cast<std::size_t>(probe.uniform_int(
+    auto server = static_cast<std::size_t>(
+        probe.uniform_int(0, static_cast<std::int64_t>(config.servers)));
+    auto slot = static_cast<std::size_t>(probe.uniform_int(
         0, static_cast<std::int64_t>(config.slots + config.slots / 4)));
+    // Half the probes land inside a random event's window, on its
+    // target, where overlapping events (and their order) matter.
+    if (!events.empty() && probe.bernoulli(0.5)) {
+      const faults::FaultEvent& e = events[static_cast<std::size_t>(
+          probe.uniform_int(0, static_cast<std::int64_t>(events.size()) - 1))];
+      user = router = server = e.target;
+      slot = e.start_slot +
+             static_cast<std::size_t>(probe.uniform_int(
+                 0, static_cast<std::int64_t>(e.duration_slots) - 1));
+    }
 
     if (schedule.user_disconnected(user, slot) !=
         active(faults::FaultType::kUserDisconnect, user, slot)) {
@@ -900,6 +909,54 @@ CheckResult check_fault_schedule_queries(
                   std::to_string(user) + " router " + std::to_string(router) +
                   " slot " + std::to_string(slot));
     }
+  }
+  return pass();
+}
+
+/// The schedule's query methods agree with a brute-force scan over the
+/// raw event list, both for the generated schedule and for the same
+/// events added out of start order together with early server restarts
+/// (the generator draws none) and router outages tied on a start slot
+/// with distinct severities, whose product depends on the order of
+/// multiplication.
+CheckResult check_fault_schedule_queries(
+    const faults::FaultScheduleConfig& config) {
+  const faults::FaultSchedule schedule = faults::generate_schedule(config);
+  cvr::Rng probe(config.seed ^ 0x51edu);
+  if (CheckResult r = check_queries_against_scan(schedule, config, probe);
+      !r.ok) {
+    return r;
+  }
+
+  std::vector<faults::FaultEvent> events = schedule.events();
+  const std::size_t generated = events.size();
+  for (std::size_t i = 0; i < generated; ++i) {
+    faults::FaultEvent extra = events[i];
+    if (extra.type == faults::FaultType::kServerCrash) {
+      extra.type = faults::FaultType::kServerRecover;
+      extra.start_slot += static_cast<std::size_t>(probe.uniform_int(
+          0, static_cast<std::int64_t>(extra.duration_slots)));
+      extra.duration_slots = 1;
+      events.push_back(extra);
+    } else if (extra.type == faults::FaultType::kRouterOutage) {
+      for (int copy = 0; copy < 2; ++copy) {
+        extra.severity = probe.uniform(0.0, 1.0);
+        extra.duration_slots = static_cast<std::size_t>(probe.uniform_int(
+            1, static_cast<std::int64_t>(config.mean_duration_slots) * 2));
+        events.push_back(extra);
+      }
+    }
+  }
+  for (std::size_t i = events.size(); i > 1; --i) {
+    std::swap(events[i - 1], events[static_cast<std::size_t>(probe.uniform_int(
+                                 0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  faults::FaultSchedule rebuilt;
+  for (const auto& e : events) rebuilt.add(e);
+  if (CheckResult r = check_queries_against_scan(rebuilt, config, probe);
+      !r.ok) {
+    r.note = "events added out of order: " + r.note;
+    return r;
   }
   return pass();
 }

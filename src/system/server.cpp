@@ -24,8 +24,7 @@ Server::UserState::UserState(const ServerConfig& config)
       delay(),
       loss(),
       margin(config.fov.margin_deg, config.margin_controller),
-      delivered(),
-      cache(config.cache) {}
+      delivered() {}
 
 Server::Server(ServerConfig config, std::size_t users)
     : config_(config), content_db_(config.content) {
@@ -381,11 +380,6 @@ void Server::make_request(std::size_t u, core::QualityLevel level,
   }
   const motion::Pose predicted = predict_pose(u);
   const content::GridCell cell = clamped_cell(predicted.x, predicted.y);
-  if (!user.cache_primed || !(cell == user.cached_cell)) {
-    user.cache.advance(cell);
-    user.cached_cell = cell;
-    user.cache_primed = true;
-  }
 
   request.reset(level);
   int tile_indices[content::kTilesPerFrame];
@@ -393,9 +387,7 @@ void Server::make_request(std::size_t u, core::QualityLevel level,
       content::tiles_for_view(fov_for(u), predicted, tile_indices);
   for (int i = 0; i < tile_count; ++i) {
     const content::TileKey key{cell, tile_indices[i], level};
-    const content::VideoId id = content::pack_video_id(key);
-    user.cache.lookup(id);
-    request.full_set.push_back(id);
+    request.full_set.push_back(content::pack_video_id(key));
   }
   if (config_.repetition_suppression) {
     user.delivered.filter_needed(request.full_set, request.tiles);
@@ -442,7 +434,7 @@ void Server::make_request(std::size_t u, core::QualityLevel level,
           set_megabits(request.tiles, 0, own) +
           set_megabits(request.tiles, own, request.tiles.size()));
       if (!(with_fallback <= config_.fallback_headroom_fraction *
-                                 user.bandwidth.estimate_mbps())) {
+                                 raw_bandwidth_estimate(user))) {
         request.tiles.resize(own);
         request.fallback_set.clear();
       }
@@ -470,18 +462,12 @@ void Server::make_request(std::size_t u, core::QualityLevel level,
   }
 }
 
-const content::ServerTileCache& Server::cache(std::size_t u) const {
-  return users_.at(u).cache;
-}
-
 double Server::bandwidth_estimate(std::size_t u) const {
   return raw_bandwidth_estimate(users_.at(u));
 }
 
-void Server::flush_caches() {
+void Server::forget_delivered_tiles() {
   for (UserState& user : users_) {
-    user.cache = content::ServerTileCache(config_.cache);
-    user.cache_primed = false;
     user.delivered = content::DeliveredTileTracker();
   }
 }

@@ -3,8 +3,8 @@
 // Owns, per user: the 6-DoF linear-regression predictor (fed by poses
 // arriving over the TCP side channel one slot late), the EMA bandwidth
 // estimator and polynomial delay predictor (Section V), the online
-// prediction-accuracy estimate delta_bar_n, the delivered-tile tracker
-// (repetitive-tile suppression), and the in-memory tile cache window.
+// prediction-accuracy estimate delta_bar_n, and the delivered-tile
+// tracker (repetitive-tile suppression).
 // Unlike the Section-IV simulator, everything the allocator sees here is
 // an *estimate* — this is where the robustness differences of Figs. 7/8
 // come from.
@@ -18,7 +18,6 @@
 #include "src/content/delivered_tracker.h"
 #include "src/content/hevc_process.h"
 #include "src/content/equirect.h"
-#include "src/content/server_cache.h"
 #include "src/core/allocator.h"
 #include "src/motion/accuracy.h"
 #include "src/motion/fov.h"
@@ -48,7 +47,6 @@ struct ServerConfig {
   motion::PredictorKind predictor_kind =
       motion::PredictorKind::kLinearRegression;
   content::ContentDbConfig content;
-  content::ServerCacheConfig cache;
   double ema_alpha = 0.2;
   double initial_bandwidth_estimate_mbps = 40.0;
   /// Bandwidth-estimator arm. The default (kEma) is byte-identical to
@@ -224,8 +222,8 @@ class Server {
   /// seeds the pose predictor with the frame's last pose (observed at
   /// its original pose_slot, so staleness keeps its meaning). The
   /// feedback clock restarts at `now_slot` — the destination has no
-  /// measurement silence to hold against the user. Tile caches,
-  /// delivered-tile trackers, and the delay/loss regressors start cold:
+  /// measurement silence to hold against the user. Delivered-tile
+  /// trackers and the delay/loss regressors start cold:
   /// they describe the source server's link, not this one.
   void import_handoff(std::size_t u, const proto::UserHandoff& frame,
                       std::size_t now_slot);
@@ -248,22 +246,21 @@ class Server {
 
   /// Writes user `u`'s tile request at `level` for its predicted pose
   /// into `request`: predicted-FoV tiles at that level, minus
-  /// already-delivered ones, priced via the content DB (also advances
-  /// the tile cache). Every field is overwritten and the vectors keep
-  /// their capacity, so a recycled request makes no heap allocation in
-  /// steady state.
+  /// already-delivered ones, priced via the content DB. Every field is
+  /// overwritten and the vectors keep their capacity, so a recycled
+  /// request makes no heap allocation in steady state.
   void make_request(std::size_t u, core::QualityLevel level,
                     TileRequest& request);
 
   const content::ContentDb& content_db() const { return content_db_; }
-  const content::ServerTileCache& cache(std::size_t u) const;
   double bandwidth_estimate(std::size_t u) const;
 
-  /// Fault-injection hook (faults::FaultType::kCacheFlush): drops every
-  /// user's warm tile cache and delivered-tile tracker, as a server
-  /// crash-restart would. Estimators and predictors survive (they live
-  /// in the allocator tier of a real deployment).
-  void flush_caches();
+  /// Fault-injection hook (faults::FaultType::kCacheFlush): empties
+  /// every user's delivered-tile tracker, as a server crash-restart
+  /// would, so the next requests resend tiles the clients already hold.
+  /// Estimators and predictors survive (they live in the allocator tier
+  /// of a real deployment).
+  void forget_delivered_tiles();
 
   /// Whether user `u` is currently degraded by a watchdog (as of the
   /// last build_problem_for call).
@@ -292,7 +289,6 @@ class Server {
     net::LossEstimator loss;
     motion::MarginController margin;
     content::DeliveredTileTracker delivered;
-    content::ServerTileCache cache;
     // Running mean of viewed quality (qbar_n) via simple accumulation.
     double viewed_quality_sum = 0.0;
     std::size_t viewed_slots = 0;
@@ -304,10 +300,6 @@ class Server {
     bool safe_mode = false;
     bool pose_stale = false;
     std::size_t safe_mode_slot_count = 0;
-    // Cache-window anchoring: advance() is O(window^2) and only needed
-    // when the user enters a new cell.
-    content::GridCell cached_cell{};
-    bool cache_primed = false;
     // EMA of (transmitted rate) / (full tile-set rate): repetition
     // suppression means only this fraction of a frame's packets is at
     // loss risk in a slot.

@@ -91,10 +91,6 @@ void validate(const SystemSimConfig& config) {
                                   "].buffer_threshold: must be positive");
     }
   }
-  if (config.server.cache.capacity_tiles == 0) {
-    throw std::invalid_argument(
-        "SystemSimConfig.server.cache.capacity_tiles: must be positive");
-  }
   if (!(config.server.ema_alpha > 0.0 && config.server.ema_alpha <= 1.0)) {
     throw std::invalid_argument(
         "SystemSimConfig.server.ema_alpha: must lie in (0, 1]");
@@ -125,10 +121,9 @@ std::vector<sim::UserOutcome> SystemSim::run(
                                    telemetry::Collector::kServerPid, slot);
     step_routers(run.net, faults, t);
 
-    // Server crash-restart: warm tile caches and delivered-tile state
-    // vanish; estimators survive (the process kept its learned state,
-    // the content cache did not).
-    if (faults.cache_flush_at(t)) edge.server.flush_caches();
+    // Server crash-restart: delivered-tile state vanishes; estimators
+    // survive (the process kept its learned state, not what it sent).
+    if (faults.cache_flush_at(t)) edge.server.forget_delivered_tiles();
 
     step_server(run, edge, allocator, t);
     const std::vector<double>& granted = serve_routers(run, slot);

@@ -117,10 +117,9 @@ struct SystemSimConfig {
 /// bandwidth_measurement_sigma, delay_accounting_cap_ms,
 /// server.params.alpha, server.params.beta or
 /// delay_measurement_window_ms, a non-finite or non-positive
-/// client.display_deadline_ms, a zero client.buffer_threshold,
-/// devices[i].buffer_threshold or server.cache.capacity_tiles, or a
-/// server.ema_alpha outside (0, 1]. SystemSim and fleet::FleetSim both
-/// call it on construction.
+/// client.display_deadline_ms, a zero client.buffer_threshold or
+/// devices[i].buffer_threshold, or a server.ema_alpha outside (0, 1].
+/// SystemSim and fleet::FleetSim both call it on construction.
 void validate(const SystemSimConfig& config);
 
 /// Convenience constructors for the paper's two setups.

@@ -64,6 +64,57 @@ TEST(FaultSchedule, OverlappingOutagesMultiply) {
   EXPECT_DOUBLE_EQ(schedule.router_capacity_multiplier(1, 7), 1.0);
 }
 
+TEST(FaultSchedule, TiedOutagesMultiplyInInsertionOrder) {
+  // Three outages on one router, all starting at slot 10: the product
+  // is taken in the order they were added, and in floating point that
+  // order shows in the last bit.
+  FaultSchedule schedule;
+  schedule.add(make_event(FaultType::kRouterOutage, 1, 10, 20, 0.1));
+  schedule.add(make_event(FaultType::kRouterOutage, 1, 10, 20, 0.3));
+  schedule.add(make_event(FaultType::kRouterOutage, 0, 2, 5, 0.5));
+  schedule.add(make_event(FaultType::kRouterOutage, 1, 10, 20, 0.7));
+  const double in_order = (0.1 * 0.3) * 0.7;
+  ASSERT_NE(in_order, (0.7 * 0.3) * 0.1);  // the order is observable
+  EXPECT_EQ(schedule.router_capacity_multiplier(1, 10), in_order);
+  EXPECT_EQ(schedule.router_capacity_multiplier(1, 29), in_order);
+  EXPECT_EQ(schedule.router_capacity_multiplier(1, 30), 1.0);
+  EXPECT_EQ(schedule.router_capacity_multiplier(0, 10), 1.0);
+}
+
+TEST(FaultSchedule, RecoverTruncatesOnlyTheCrashItFollows) {
+  FaultSchedule schedule;
+  // Added out of start order: the recover first, then the later crash.
+  schedule.add(make_event(FaultType::kServerRecover, 2, 35, 1));
+  schedule.add(make_event(FaultType::kServerCrash, 2, 30, 20));
+  schedule.add(make_event(FaultType::kServerCrash, 2, 10, 10));
+  schedule.add(make_event(FaultType::kServerCrash, 3, 30, 20));
+  EXPECT_FALSE(schedule.server_crashed(2, 9));
+  EXPECT_TRUE(schedule.server_crashed(2, 10));
+  EXPECT_TRUE(schedule.server_crashed(2, 19));  // first window runs in full
+  EXPECT_FALSE(schedule.server_crashed(2, 20));
+  EXPECT_TRUE(schedule.server_crashed(2, 30));
+  EXPECT_TRUE(schedule.server_crashed(2, 34));
+  EXPECT_FALSE(schedule.server_crashed(2, 35));  // second window cut short
+  EXPECT_FALSE(schedule.server_crashed(2, 49));
+  EXPECT_TRUE(schedule.server_crashed(3, 40));   // other servers untouched
+  EXPECT_FALSE(schedule.server_crashed(7, 40));  // no events at all
+}
+
+TEST(FaultSchedule, CacheFlushWindowCountsForEveryUser) {
+  // A flush ignores its target: it hits every user behind every router.
+  FaultSchedule schedule;
+  schedule.add(make_event(FaultType::kCacheFlush, 5, 30, 8));
+  EXPECT_TRUE(schedule.cache_flush_at(30));
+  for (std::size_t user = 0; user < 12; ++user) {
+    for (std::size_t router = 0; router < 3; ++router) {
+      EXPECT_FALSE(schedule.any_fault_for_user(user, router, 29));
+      EXPECT_TRUE(schedule.any_fault_for_user(user, router, 30));
+      EXPECT_TRUE(schedule.any_fault_for_user(user, router, 37));
+      EXPECT_FALSE(schedule.any_fault_for_user(user, router, 38));
+    }
+  }
+}
+
 TEST(FaultSchedule, CacheFlushFiresOnlyAtItsStartSlot) {
   FaultSchedule schedule;
   schedule.add(make_event(FaultType::kCacheFlush, 0, 30, 8));

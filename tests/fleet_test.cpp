@@ -560,11 +560,6 @@ TEST(SystemSimConfig, NumericFieldsNameTheField) {
              c.devices.at(1).buffer_threshold = static_cast<std::size_t>(v);
            },
            {0.0}},
-          {"SystemSimConfig.server.cache.capacity_tiles",
-           [](auto& c, double v) {
-             c.server.cache.capacity_tiles = static_cast<std::size_t>(v);
-           },
-           {0.0}},
           {"SystemSimConfig.server.ema_alpha",
            [](auto& c, double v) { c.server.ema_alpha = v; },
            {nan, inf, -inf, -0.5, 0.0, 1.5}},
@@ -590,8 +585,8 @@ TEST(SystemSimConfig, NumericFieldsNameTheField) {
     }
   }
   // The boundary values stay legal: zero throttle, zero noise, zero cap,
-  // zero QoE weights, a zero measurement window, a threshold and a
-  // capacity of one, and an EMA weight of exactly 1.
+  // zero QoE weights, a zero measurement window, a threshold of one,
+  // and an EMA weight of exactly 1.
   system::SystemSimConfig edge = system::setup_one_router(2);
   edge.throttle_pool_mbps = {0.0, 40.0};
   edge.bandwidth_measurement_sigma = 0.0;
@@ -600,7 +595,6 @@ TEST(SystemSimConfig, NumericFieldsNameTheField) {
   edge.delay_measurement_window_ms = 0.0;
   edge.client.buffer_threshold = 1;
   edge.devices.at(1).buffer_threshold = 1;
-  edge.server.cache.capacity_tiles = 1;
   edge.server.ema_alpha = 1.0;
   EXPECT_NO_THROW(system::SystemSim{edge});
 }

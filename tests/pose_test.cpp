@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+
+#include "src/util/rng.h"
 
 namespace cvr::motion {
 namespace {
@@ -16,6 +21,51 @@ TEST(WrapDegrees, CanonicalRange) {
   EXPECT_DOUBLE_EQ(wrap_degrees(540.0), -180.0);
   EXPECT_DOUBLE_EQ(wrap_degrees(-190.0), 170.0);
   EXPECT_DOUBLE_EQ(wrap_degrees(725.0), 5.0);
+}
+
+TEST(WrapDegrees, BitIdenticalToTheFmodForm) {
+  // wrap_degrees skips fmod for angles already in range; every result,
+  // signed zeros and NaN payloads included, must match the plain form.
+  const auto fmod_form = [](double angle) {
+    angle = std::fmod(angle + 180.0, 360.0);
+    if (angle < 0.0) angle += 360.0;
+    return angle - 180.0;
+  };
+  const auto expect_same = [&](double angle) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(wrap_degrees(angle)),
+              std::bit_cast<std::uint64_t>(fmod_form(angle)))
+        << "angle " << angle;
+  };
+  using limits = std::numeric_limits<double>;
+  const double edges[] = {0.0,
+                          -0.0,
+                          180.0,
+                          -180.0,
+                          540.0,
+                          -540.0,
+                          std::nextafter(180.0, 0.0),
+                          std::nextafter(-180.0, 0.0),
+                          std::nextafter(-180.0, -360.0),
+                          359.99999999999994,
+                          -359.99999999999994,
+                          limits::denorm_min(),
+                          -limits::denorm_min(),
+                          limits::min() - limits::denorm_min(),
+                          -(limits::min() - limits::denorm_min()),
+                          limits::max(),
+                          limits::lowest(),
+                          limits::quiet_NaN(),
+                          -limits::quiet_NaN(),
+                          limits::infinity(),
+                          -limits::infinity()};
+  for (const double angle : edges) expect_same(angle);
+  cvr::Rng rng(2022);
+  for (int i = 0; i < 200000; ++i) {
+    // Mostly in-range angles (the fast path), plus wide magnitudes.
+    expect_same(rng.uniform(-200.0, 200.0));
+    expect_same(std::ldexp(rng.uniform(-1.0, 1.0),
+                           static_cast<int>(rng.uniform_int(-60, 60))));
+  }
 }
 
 TEST(AngularDifference, ShortestWay) {

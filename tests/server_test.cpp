@@ -141,6 +141,29 @@ TEST(Server, FallbackPrefetchGatedWhenNoHeadroom) {
   EXPECT_TRUE(request.fallback_set.empty());  // insurance skipped
 }
 
+TEST(Server, FallbackPrefetchHeadroomReadsTheProbingEstimate) {
+  // Under the probing arm the passive EMA never sees a sample, so the
+  // headroom gate must read the probing estimate: a roomy link admits
+  // the fallback and a tight one withholds it, as on the EMA arm.
+  for (const double link_mbps : {100.0, 25.0}) {
+    ServerConfig config = small_config();
+    config.fallback_prefetch = true;
+    config.estimator_arm = EstimatorArm::kProbing;
+    Server server(config, 1);
+    for (std::size_t t = 0; t < 30; ++t) {
+      motion::Pose p;
+      p.x = 5.0 + 0.02 * static_cast<double>(t);
+      p.y = 4.0;
+      server.on_pose(0, t, p);
+      server.on_bandwidth_sample(0, link_mbps);
+    }
+    ASSERT_NEAR(server.bandwidth_estimate(0), link_mbps, 0.1);
+    const TileRequest request = request_for(server, 0, 4);
+    EXPECT_EQ(request.fallback_set.empty(), link_mbps < 40.0)
+        << link_mbps << " Mbps link";
+  }
+}
+
 TEST(Server, MakeRequestReturnsPredictedFovTiles) {
   Server server(small_config(), 1);
   motion::Pose p;
@@ -258,16 +281,6 @@ TEST(Server, DelaySamplesTrainPredictor) {
   EXPECT_NEAR(problem.users[0].delay[2],
               0.1 * problem.users[0].rate[2] * problem.users[0].rate[2],
               5.0);
-}
-
-TEST(Server, CacheAdvancesWithRequests) {
-  Server server(small_config(), 1);
-  motion::Pose p;
-  p.x = 5.0;
-  p.y = 4.0;
-  server.on_pose(0, 0, p);
-  request_for(server, 0, 3);
-  EXPECT_GT(server.cache(0).size(), 0u);
 }
 
 TEST(Server, LossAwareProblemCarriesFrameLossTable) {

@@ -1,9 +1,9 @@
 // SlotArena reuse semantics and the zero-allocation contract of the
 // per-slot hot path: in steady state, the allocator path and the
-// system slot's delay refit, tile cache, problem build and tile
-// requests perform zero heap allocations per slot, and a whole system
-// slot (pose ingest through ACK feedback) at most the content-DB memo's
-// first-visit entries.
+// system slot's delay refit, problem build and tile requests perform
+// zero heap allocations per slot, and a whole system slot (pose ingest
+// through ACK feedback) at most the content-DB memo's first-visit
+// entries.
 //
 // The counting allocator below replaces the global operator new/delete
 // for THIS binary only and counts every heap allocation; the zero-alloc
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/content/rate_function.h"
-#include "src/content/server_cache.h"
 #include "src/core/dv_greedy.h"
 #include "src/core/firefly.h"
 #include "src/core/htable.h"
@@ -260,38 +259,6 @@ TEST(ZeroAllocation, DelayPredictorSteadyState) {
   EXPECT_EQ(allocations, 0u) << "heap allocations in 10 steady-state slots";
 }
 
-TEST(ZeroAllocation, ServerTileCacheAtCapacitySteadyState) {
-  // A random walk inside a 40 x 40-cell room with room for three
-  // windows: every slot advances the window (evicting, freeing and
-  // reusing blocks, compacting the ring) and looks tiles up around it.
-  // The stamp ring and the block free list reach their high-water
-  // capacity about 4000 slots into this walk; none allocates after that
-  // (checked out to 60000 slots).
-  content::ServerCacheConfig config;
-  config.capacity_tiles = 3 * 81 * 24;
-  config.window_radius_cells = 4;
-  content::ServerTileCache cache(config);
-  cvr::Rng rng(43);
-  content::GridCell center{20, 20};
-  const std::size_t allocations = steady_state_allocations(6000, [&](auto) {
-    center.gx = std::clamp(
-        center.gx + static_cast<std::int32_t>(rng.uniform_int(-1, 1)), 0, 39);
-    center.gy = std::clamp(
-        center.gy + static_cast<std::int32_t>(rng.uniform_int(-1, 1)), 0, 39);
-    cache.advance(center);
-    for (int k = 0; k < 8; ++k) {
-      const content::GridCell cell{
-          center.gx + static_cast<std::int32_t>(rng.uniform_int(-5, 5)),
-          center.gy + static_cast<std::int32_t>(rng.uniform_int(-5, 5))};
-      cache.lookup(content::pack_video_id(
-          {cell, static_cast<int>(rng.uniform_int(0, 3)),
-           static_cast<QualityLevel>(rng.uniform_int(1, 6))}));
-    }
-  });
-  EXPECT_EQ(cache.size(), config.capacity_tiles);
-  EXPECT_EQ(allocations, 0u) << "heap allocations in 10 steady-state slots";
-}
-
 TEST(ZeroAllocation, ServerBuildAndRequestSteadyState) {
   // A 15-user server through the estimate -> problem -> request part of
   // a slot: pose, delay and bandwidth feedback, build_problem_for into a
@@ -335,11 +302,10 @@ TEST(ZeroAllocation, SystemSimSteadyStateSlot) {
   // the warm-up (client buffers filled to their thresholds, every
   // recycled vector and table at its high-water size), what is left is
   // growth on first visits to a cell: the content-DB memo's storage
-  // (one chunk per 256 new cells, plus its index doubling) and the
-  // tile cache's stamp ring. The walking users reach about three new
-  // cells per slot, which costs about 8 allocations in these 500 slots
-  // (the node-based path before them made about 340 per slot); the
-  // bound allows one per ten slots.
+  // (one chunk per 256 new cells, plus its index doubling). The walking
+  // users reach about three new cells per slot, which costs about 6
+  // allocations in these 500 slots (the node-based path before them
+  // made about 340 per slot); the bound allows one per ten slots.
   constexpr std::size_t kUsers = 15;
   constexpr std::size_t kWarmUp = 1500;
   constexpr std::size_t kMeasured = 500;
@@ -378,7 +344,7 @@ TEST(ZeroAllocation, FleetSimSteadyStateSlots) {
   // of the same fleet (same seed, so the same first 1000 slots): 24
   // users on 4 servers with periodic checkpoints, every user's carried
   // state encoded into its recycled frame. What remains is first-visit
-  // growth, as in the SystemSim slot above: about 100 allocations in
+  // growth, as in the SystemSim slot above: about 90 allocations in
   // the extra 1000 slots (the node-based path before made about 590
   // per slot); the bound allows one per four slots.
   const auto run_allocations = [](std::size_t slots) {
