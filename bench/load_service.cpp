@@ -35,7 +35,6 @@
 #include "src/system/load_server.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/flags.h"
-#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -52,7 +51,6 @@ struct Options {
   double connect_speed = 200.0;
   double mean_session_slots = 660.0;
   std::string allocator = "dv";
-  std::int64_t threads = 1;
   std::string telemetry = "counters";
   std::string perf_out;
   std::string machine;
@@ -70,15 +68,6 @@ system::LoadServiceConfig make_config(const Options& options) {
   config.traffic.seed = static_cast<std::uint64_t>(options.seed);
   config.capacity_users = static_cast<std::size_t>(options.users);
   config.allocator = options.allocator;
-  // Flag semantics match the fig benches (0 = all hardware threads,
-  // 1 = serial); LoadServiceConfig::allocator_threads spells serial as
-  // 0, so translate here.
-  config.allocator_threads =
-      options.threads == 1
-          ? 0
-          : cvr::resolve_thread_count(
-                options.threads < 0 ? 0
-                                    : static_cast<std::size_t>(options.threads));
   config.slo_p99_ms = options.slo_ms;
   return config;
 }
@@ -229,9 +218,6 @@ int main(int argc, char** argv) {
   parser.add("session-slots", &options.mean_session_slots,
              "mean session length (slots)");
   parser.add("allocator", &options.allocator, "allocation policy name");
-  parser.add("threads", &options.threads,
-             "within-slot allocator workers (0 = all hardware threads, "
-             "1 = serial; results are bit-identical either way)");
   parser.add("telemetry", &options.telemetry,
              "telemetry mode: off|counters|trace");
   parser.add("perf-out", &options.perf_out,

@@ -177,9 +177,8 @@ void write_perf_baseline(const std::string& path, const std::string& machine) {
   report.mode = telemetry::Mode::kCounters;
   const std::vector<std::size_t> sizes = {5, 15, 30, 120};
   // The near-linear solvers additionally capture an allocate_n10000
-  // phase (the within-slot parallelism regime); the paper-literal scan
-  // is excluded there — its O(N^2 L) ascent would dominate the run for
-  // no extra signal.
+  // phase; the paper-literal scan is excluded there — its O(N^2 L)
+  // ascent would dominate the run for no extra signal.
   const std::vector<std::size_t> sizes_with_large = {5, 15, 30, 120, 10000};
   {
     DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
@@ -190,15 +189,6 @@ void write_perf_baseline(const std::string& path, const std::string& machine) {
     DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
                             DvGreedyAllocator::Strategy::kHeap);
     report.arms.push_back(measure_arm("dv", alloc, sizes_with_large));
-  }
-  {
-    // Warm-start ablation: measure_arm repeats the same problem per
-    // size, so from the second iteration on this times the best case —
-    // seed already optimal, ascent exits immediately.
-    DvGreedyAllocator alloc(DvGreedyAllocator::Mode::kCombined,
-                            DvGreedyAllocator::Strategy::kHeap,
-                            /*warm_start=*/true);
-    report.arms.push_back(measure_arm("dv_warm", alloc, sizes));
   }
   {
     PavqAllocator alloc;

@@ -44,7 +44,6 @@
 #include "src/system/system_sim.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/flags.h"
-#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -54,7 +53,6 @@ struct Options {
   std::int64_t users = 6;
   std::int64_t slots = 400;
   std::int64_t seed = 2022;
-  std::int64_t threads = 1;
   std::string intensities = "0.5,1.0,2.0";
   std::string report;  // unused CSV hook kept symmetric with fig benches
   std::string perf_out;
@@ -96,14 +94,6 @@ system::SystemSimConfig make_config(const Options& options,
   config.channel.contention.enabled = arm.wifi;
   config.server.hevc.enabled = arm.hevc;
   config.server.estimator_arm = arm.estimator;
-  // Flag semantics match the fig benches (0 = all hardware threads,
-  // 1 = serial); SystemSimConfig::allocator_threads spells serial as 0.
-  config.allocator_threads =
-      options.threads == 1
-          ? 0
-          : cvr::resolve_thread_count(
-                options.threads < 0 ? 0
-                                    : static_cast<std::size_t>(options.threads));
   if (intensity > 0.0) {
     faults::FaultScheduleConfig faults;
     faults.users = config.users;
@@ -311,9 +301,6 @@ int main(int argc, char** argv) {
   parser.add("users", &options.users, "connected users (one router)");
   parser.add("slots", &options.slots, "run horizon (slots)");
   parser.add("seed", &options.seed, "master seed");
-  parser.add("threads", &options.threads,
-             "within-slot allocator workers (0 = all hardware threads, "
-             "1 = serial; results are bit-identical either way)");
   parser.add("intensities", &options.intensities,
              "comma-separated fault intensities for the delta table");
   parser.add("sweep", &options.sweep,

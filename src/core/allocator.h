@@ -7,10 +7,6 @@
 
 #include "src/core/qoe.h"
 
-namespace cvr {
-class ThreadPool;
-}
-
 namespace cvr::core {
 
 /// One slot's allocation problem: per-user contexts plus the shared
@@ -85,17 +81,6 @@ class Allocator {
 
   /// Clears any cross-slot state. Default: none.
   virtual void reset() {}
-
-  /// Offers a thread pool for WITHIN-slot parallelism (distinct from
-  /// the ensemble runner's across-cell parallelism). Allocators that
-  /// can partition their per-slot work into deterministic fork-join
-  /// spans override this (DvGreedyAllocator parallelises its SoA table
-  /// build and heap candidate fill above a user-count threshold);
-  /// the default ignores the pool. The pool must outlive the allocator
-  /// or be detached by passing nullptr before it is destroyed. Results
-  /// must stay bit-identical to the serial path — parallelism is an
-  /// execution detail, never a semantic knob.
-  virtual void set_thread_pool(cvr::ThreadPool* /*pool*/) {}
 };
 
 }  // namespace cvr::core

@@ -1,27 +1,28 @@
 #include "src/core/dv_greedy.h"
 
 #include <algorithm>
-#include <future>
-#include <limits>
 #include <vector>
-
-#include "src/util/thread_pool.h"
 
 namespace cvr::core {
 
 namespace {
-/// Parallel-fill marker for a user that holds no heap entry.
-constexpr std::size_t kNoCandidate = std::numeric_limits<std::size_t>::max();
-
 /// True iff the user can be raised from q to q+1 without breaking its
 /// own B_n — the heap's admission test for a candidate entry.
 bool raisable(const UserSlotContext& user, QualityLevel q) {
   return q < kNumQualityLevels && user_feasible(user, q + 1);
 }
+
+/// Algorithm 1's start Q = {1,...,1}: writes all-ones into `q` and
+/// returns its server rate.
+double seed_all_ones(const SlotProblem& problem, std::vector<QualityLevel>& q) {
+  q.assign(problem.user_count(), 1);
+  double used_rate = 0.0;
+  for (const UserSlotContext& user : problem.users) used_rate += user.rate[0];
+  return used_rate;
+}
 }  // namespace
 
 std::string_view DvGreedyAllocator::name() const {
-  if (warm_start_) return "dv-warm";
   switch (mode_) {
     case Mode::kDensityOnly:
       return "density-greedy";
@@ -33,56 +34,10 @@ std::string_view DvGreedyAllocator::name() const {
   return "dv-greedy";
 }
 
-double DvGreedyAllocator::seed_levels(const SlotProblem& problem, Rank rank,
-                                      std::vector<QualityLevel>& q) {
-  const std::size_t n_users = problem.user_count();
-  const bool warm = warm_start_ && prev_levels_.size() == n_users;
-  if (!warm) {
-    q.assign(n_users, 1);
-    double used_rate = 0.0;
-    for (std::size_t n = 0; n < n_users; ++n) {
-      used_rate += problem.users[n].rate[0];
-    }
-    return used_rate;
-  }
-
-  // Warm seed: last slot's allocation, clamped per user to the valid
-  // level range and constraint (7) — B_n may have dropped since.
-  q.assign(prev_levels_.begin(), prev_levels_.end());
-  double used_rate = 0.0;
-  for (std::size_t n = 0; n < n_users; ++n) {
-    q[n] = std::clamp<QualityLevel>(q[n], 1, kNumQualityLevels);
-    while (q[n] > 1 && !user_feasible(problem.users[n], q[n])) q[n] -= 1;
-    used_rate += problem.users[n].rate[static_cast<std::size_t>(q[n] - 1)];
-  }
-  // Server-budget repair: peel the lowest-ranked held increment until
-  // constraint (6) holds (ties to the smallest index — deterministic).
-  // Stops at all-ones, the mandatory minimum the contract always
-  // accepts even when it exceeds B(t).
-  while (used_rate > problem.server_bandwidth + kFeasibilityEpsilon) {
-    std::size_t worst = n_users;
-    double worst_score = 0.0;
-    for (std::size_t n = 0; n < n_users; ++n) {
-      if (q[n] <= 1) continue;
-      const double score = rank_score(tables_[n], q[n] - 1, rank);
-      if (worst == n_users || score < worst_score) {
-        worst_score = score;
-        worst = n;
-      }
-    }
-    if (worst == n_users) break;
-    const auto& user = problem.users[worst];
-    used_rate -= user.rate[static_cast<std::size_t>(q[worst] - 1)] -
-                 user.rate[static_cast<std::size_t>(q[worst] - 2)];
-    q[worst] -= 1;
-  }
-  return used_rate;
-}
-
 void DvGreedyAllocator::greedy_pass(const SlotProblem& problem, Rank rank,
                                     std::vector<QualityLevel>& q) {
   const std::size_t n_users = problem.user_count();
-  double used_rate = seed_levels(problem, rank, q);
+  double used_rate = seed_all_ones(problem, q);
 
   // The set I of Algorithm 1: users that may still be raised.
   in_set_.assign(n_users, 0);
@@ -128,7 +83,7 @@ void DvGreedyAllocator::greedy_pass(const SlotProblem& problem, Rank rank,
 void DvGreedyAllocator::greedy_pass_heap(const SlotProblem& problem, Rank rank,
                                          std::vector<QualityLevel>& q) {
   const std::size_t n_users = problem.user_count();
-  double used_rate = seed_levels(problem, rank, q);
+  double used_rate = seed_all_ones(problem, q);
 
   // Only users whose next level passes their own B_n (constraint (7))
   // ever hold an entry. The scan pops such a user only to revert and
@@ -151,37 +106,9 @@ void DvGreedyAllocator::greedy_pass_heap(const SlotProblem& problem, Rank rank,
     return a.user > b.user;
   };
   heap_.clear();
-  if (pool_ != nullptr && n_users >= parallel_min_users_) {
-    // Parallel candidate fill: partition the users, let each range
-    // score its own candidates into its own slice, then compact in
-    // index order. The candidate set (and therefore the heap and the
-    // ascent) is identical to the serial fill.
-    heap_.resize(n_users);
-    const std::size_t per_task =
-        (n_users + pool_->size() - 1) / pool_->size();
-    std::vector<std::future<void>> tasks;
-    tasks.reserve((n_users + per_task - 1) / per_task);
-    for (std::size_t begin = 0; begin < n_users; begin += per_task) {
-      const std::size_t end = std::min(begin + per_task, n_users);
-      tasks.push_back(pool_->submit([this, &problem, &q, rank, begin, end] {
-        for (std::size_t n = begin; n < end; ++n) {
-          heap_[n] = raisable(problem.users[n], q[n])
-                         ? HeapEntry{rank_score(tables_[n], q[n], rank), n}
-                         : HeapEntry{0.0, kNoCandidate};
-        }
-      }));
-    }
-    for (auto& task : tasks) task.get();
-    std::size_t kept = 0;
-    for (std::size_t n = 0; n < n_users; ++n) {
-      if (heap_[n].user != kNoCandidate) heap_[kept++] = heap_[n];
-    }
-    heap_.resize(kept);
-  } else {
-    for (std::size_t n = 0; n < n_users; ++n) {
-      if (raisable(problem.users[n], q[n])) {
-        heap_.push_back({rank_score(tables_[n], q[n], rank), n});
-      }
+  for (std::size_t n = 0; n < n_users; ++n) {
+    if (raisable(problem.users[n], q[n])) {
+      heap_.push_back({rank_score(tables_[n], q[n], rank), n});
     }
   }
   std::make_heap(heap_.begin(), heap_.end(), worse);
@@ -224,7 +151,7 @@ void DvGreedyAllocator::allocate_into(const SlotProblem& problem,
   out.objective = 0.0;
   if (problem.user_count() == 0) return;
 
-  tables_.build(problem, pool_, parallel_min_users_);
+  tables_.build(problem);
   const auto run_pass = [&](Rank rank, std::vector<QualityLevel>& dst) {
     if (strategy_ == Strategy::kHeap) {
       greedy_pass_heap(problem, rank, dst);
@@ -247,9 +174,6 @@ void DvGreedyAllocator::allocate_into(const SlotProblem& problem,
       out.levels.assign(value_levels_.begin(), value_levels_.end());
       out.objective = vv;
     }
-  }
-  if (warm_start_) {
-    prev_levels_.assign(out.levels.begin(), out.levels.end());
   }
 }
 

@@ -11,8 +11,8 @@
 //
 // Theorem 1: the result is at least 1/2 of the optimum of (5)-(7); the
 // bench `theorem1_approx_ratio` verifies this against an exact solver.
-// The bound assumes the ascent starts from all-ones — see the
-// warm-start ablation note below.
+// The bound assumes the ascent starts from all-ones, which both passes
+// always do.
 //
 // Complexity: the paper's plain argmax scan is O(N^2 L) per pass —
 // negligible at the paper's N <= 30 but quadratic pain at hundreds of
@@ -61,24 +61,9 @@ class DvGreedyAllocator final : public Allocator {
   /// implementation (registry name "dv-scan"), deliberately plain.
   enum class Strategy { kScan, kHeap };
 
-  /// Users-per-slot at or above which a pool attached via
-  /// set_thread_pool() is actually used; below it the serial path is
-  /// always cheaper than the fan-out.
-  static constexpr std::size_t kDefaultParallelMinUsers = 1024;
-
-  /// @param warm_start Enables the warm-start ABLATION (registry name
-  ///   "dv-warm"): each slot's ascent is seeded from the previous
-  ///   slot's allocation (repaired to feasibility) instead of from
-  ///   all-ones. Theorem 1's ½-gain proof conditions on the all-ones
-  ///   start, so the formal bound is FORFEITED in this mode — the
-  ///   result is still feasible and, on a repeated identical problem,
-  ///   never worse than the cold objective (both pinned by
-  ///   tests/dv_greedy_test.cpp); docs/vectorization.md discusses when
-  ///   the trade is worth it.
   explicit DvGreedyAllocator(Mode mode = Mode::kCombined,
-                             Strategy strategy = Strategy::kHeap,
-                             bool warm_start = false)
-      : mode_(mode), strategy_(strategy), warm_start_(warm_start) {}
+                             Strategy strategy = Strategy::kHeap)
+      : mode_(mode), strategy_(strategy) {}
 
   std::string_view name() const override;
 
@@ -87,24 +72,7 @@ class DvGreedyAllocator final : public Allocator {
   /// Allocation-free steady state: the h-tables, pass scratch, heap
   /// storage, and `out.levels` all recycle their capacity across calls
   /// (pinned by tests/slot_arena_test.cpp's counting allocator).
-  /// The within-slot parallel path (pool attached AND user count >=
-  /// the parallel threshold) is exempt: it allocates futures per slot.
   void allocate_into(const SlotProblem& problem, Allocation& out) override;
-
-  /// Borrows `pool` for within-slot parallelism: the SoA table build
-  /// and the heap candidate fill partition the users into disjoint
-  /// lane-aligned ranges, so results stay bit-identical to the serial
-  /// path (TSan CI leg + tests/simd_test.cpp). Engaged only when
-  /// user_count >= the threshold below.
-  void set_thread_pool(cvr::ThreadPool* pool) override { pool_ = pool; }
-
-  /// Test hook: lowers the parallel engagement threshold so the
-  /// parallel path is exercised at unit-test problem sizes.
-  void set_parallel_min_users(std::size_t n) { parallel_min_users_ = n; }
-
-  /// Clears warm-start memory (cross-slot state); the next slot seeds
-  /// cold from all-ones.
-  void reset() override { prev_levels_.clear(); }
 
  private:
   enum class Rank { kDensity, kValue };
@@ -118,14 +86,6 @@ class DvGreedyAllocator final : public Allocator {
     return rank == Rank::kDensity ? table.density(q) : table.increment(q);
   }
 
-  /// Writes the pass's starting levels into `q` and returns the used
-  /// server rate. Cold: all-ones. Warm (warm_start_ AND the previous
-  /// slot had the same user count): the previous allocation clamped to
-  /// per-user feasibility, then repaired to the server budget by
-  /// peeling the lowest-ranked increments (ties to the smallest index).
-  double seed_levels(const SlotProblem& problem, Rank rank,
-                     std::vector<QualityLevel>& q);
-
   /// One greedy ascent over tables_; writes the resulting levels.
   void greedy_pass(const SlotProblem& problem, Rank rank,
                    std::vector<QualityLevel>& q);
@@ -134,14 +94,10 @@ class DvGreedyAllocator final : public Allocator {
 
   Mode mode_;
   Strategy strategy_;
-  bool warm_start_;
-  cvr::ThreadPool* pool_ = nullptr;
-  std::size_t parallel_min_users_ = kDefaultParallelMinUsers;
 
   // Per-slot scratch, recycled across allocate calls. An allocator
   // instance is single-threaded by contract (the ensemble runner gives
-  // each parallel cell a fresh instance); an attached pool is used
-  // only for fork-join spans inside one allocate call.
+  // each parallel cell a fresh instance).
   struct HeapEntry {
     double score;
     std::size_t user;
@@ -149,7 +105,6 @@ class DvGreedyAllocator final : public Allocator {
   HTableSet tables_;
   std::vector<QualityLevel> density_levels_;
   std::vector<QualityLevel> value_levels_;
-  std::vector<QualityLevel> prev_levels_;  ///< Warm-start seed.
   std::vector<unsigned char> in_set_;  ///< Scan: 1 while user is in I.
   std::vector<HeapEntry> heap_;
 };

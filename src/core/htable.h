@@ -41,10 +41,6 @@
 #include "src/core/qoe.h"
 #include "src/core/simd.h"
 
-namespace cvr {
-class ThreadPool;
-}
-
 namespace cvr::core {
 
 /// @brief Structure-of-arrays image of one slot's user contexts.
@@ -72,34 +68,16 @@ struct SlotProblemSoA {
   std::vector<double> rate;     ///< [L][stride]: f(q), Mbps.
   std::vector<double> delay;    ///< [L][stride]: E[d(f(q))], ms.
 
-  /// @brief Sizes the planes for `problem` and writes the pad lanes.
+  /// @brief Sizes the planes for `problem`, writes the pad lanes and
+  /// gathers every user into its lane.
   ///
   /// Capacity is retained across calls (steady-state rebuilds perform
   /// zero heap allocations once the user count stabilises — pinned by
-  /// the ZeroAllocation tests). Must run before gather_range().
-  void prepare(const SlotProblem& problem);
-
-  /// @brief Gathers users [begin, end) into their lanes. Ranges are
-  /// disjoint-write, so the parallel build fans this out safely.
+  /// the ZeroAllocation tests).
   /// @throws std::out_of_range when a user's Section-VIII frame_loss
   ///   table is shorter than the level it is asked for (the same throw
   ///   effective_delta() performs on the direct path).
-  void gather_range(const SlotProblem& problem, std::size_t begin,
-                    std::size_t end);
-
-  /// @brief prepare() + full-range gather.
   void gather(const SlotProblem& problem);
-
-  /// @brief Fused gather + dirty tracking for user `i` (incremental
-  /// rebuilds, docs/performance.md). Recomputes every input of lane `i`
-  /// with exactly the gather_range() arithmetic, compares each new
-  /// double *bitwise* against the plane's previous content, and stores
-  /// it. Returns true iff any bit changed — the planes themselves are
-  /// the fingerprint, so there is no hash to collide and a clean lane
-  /// is clean by construction.
-  /// @pre prepare() ran for an identical user count (planes sized).
-  /// @throws std::out_of_range like gather_range() (short frame_loss).
-  bool gather_user_tracked(const SlotProblem& problem, std::size_t i);
 };
 
 /// @brief One user's h-table for one slot: a thin strided view into
@@ -162,46 +140,24 @@ class HTableSet {
   ///
   /// Gathers the SoA image, runs the h kernel selected by
   /// simd::active_backend() (AVX2 when compiled in and the CPU has it,
-  /// scalar otherwise — bit-identical either way), derives increments
-  /// and densities, then validates the rate planes.
-  ///
-  /// Incremental rebuilds (docs/performance.md): when the previous
-  /// build() on this set succeeded with the same user count and
-  /// bitwise-equal QoeParams, the gather runs in fused compare+store
-  /// mode and the kernel + rate validation only touch the
-  /// simd::kLanes-granular lane blocks whose inputs changed. Clean
-  /// lanes keep their previous outputs, which are bit-identical to a
-  /// recompute because every output is a pure function of its own
-  /// lane's inputs (pinned by core.htable_incremental_matches_full).
-  /// Any user-count change, params change, or prior failed build falls
-  /// back to the full rebuild. Membership churn needs no special case:
-  /// a swapped-in user changes its lane's inputs and dirties the block.
+  /// scalar otherwise — bit-identical either way) over every lane,
+  /// derives increments and densities, then validates the rate planes.
+  /// Every lane is recomputed on every build: the Welford weight
+  /// (t-1)/t is an input of every lane and the slot index advances
+  /// every slot, so no lane's inputs repeat (docs/performance.md).
   ///
   /// Error contract (validated-at-build): a rate table that is not
   /// strictly increasing throws std::logic_error *here*, once per
   /// slot — hoisting h_density's per-call throw out of the ascent
   /// loops. After a successful build the accessors are assert-only;
-  /// on throw the set's contents are unspecified and the next build()
-  /// starts fresh.
+  /// on throw the set's contents are unspecified until the next
+  /// successful build().
   /// @throws std::logic_error on a non-increasing rate table (the
   ///   h_density contract; NaN rate steps are NOT flagged, matching
   ///   h_density's `dr <= 0` comparison exactly).
   /// @throws std::out_of_range via SlotProblemSoA::gather on a short
   ///   frame_loss table.
-  void build(const SlotProblem& problem) { build(problem, nullptr, 0); }
-
-  /// @brief build() with optional within-slot parallelism.
-  ///
-  /// When `pool` is non-null and the user count is at least
-  /// `parallel_min_users`, the gather + kernel work is partitioned
-  /// into lane-aligned user ranges executed on the pool. Every range
-  /// writes a disjoint slice of the planes and each output element is
-  /// a pure function of its own lane's inputs, so the result is
-  /// bit-identical to the serial build regardless of scheduling
-  /// (pinned by tests/simd_test.cpp and the TSan CI leg). Exceptions
-  /// from worker ranges rethrow here, lowest range first.
-  void build(const SlotProblem& problem, cvr::ThreadPool* pool,
-             std::size_t parallel_min_users);
+  void build(const SlotProblem& problem);
 
   /// @brief The view of user `n`'s table; valid until the next build().
   HTable operator[](std::size_t n) const {
@@ -219,17 +175,9 @@ class HTableSet {
   double evaluate(const std::vector<QualityLevel>& levels) const;
 
  private:
-  /// Full-rebuild body (gather + kernel over every lane + validation).
-  void build_full(const SlotProblem& problem, cvr::ThreadPool* pool,
-                  std::size_t parallel_min_users);
-  /// Dirty-block body; pre: the incremental preconditions hold.
-  void build_incremental(const SlotProblem& problem, cvr::ThreadPool* pool,
-                         std::size_t parallel_min_users);
-  /// Runs the backend-selected kernel on lanes [begin, end).
-  void run_kernel(const QoeParams& params, std::size_t begin, std::size_t end);
-  /// Throws std::logic_error on a non-increasing rate step in lanes
-  /// [begin, min(end, users_)).
-  void validate_rates(std::size_t begin, std::size_t end) const;
+  /// Throws std::logic_error on a non-increasing rate step of any
+  /// real (non-pad) lane.
+  void validate_rates() const;
 
   SlotProblemSoA soa_;
   std::size_t users_ = 0;
@@ -237,32 +185,24 @@ class HTableSet {
   std::vector<double> h_;          ///< [L][stride].
   std::vector<double> increment_;  ///< [L-1][stride].
   std::vector<double> density_;    ///< [L-1][stride].
-  /// Incremental-rebuild state: whether the last build() completed
-  /// (false while building, so a throw forces the next build full),
-  /// the params it used, and the per-lane-block dirty flags (recycled).
-  bool valid_ = false;
-  QoeParams params_{};
-  std::vector<unsigned char> dirty_;  ///< [stride / simd::kLanes].
 };
 
 namespace detail {
 
-/// The scalar h kernel: evaluates h / increment / density planes for
-/// users (lanes) [begin, end). One expression, one association order —
-/// the same sequence of IEEE operations the AVX2 kernel performs
-/// lane-parallel, and the same h_value_unchecked performs on the
-/// direct path. `begin`/`end` need no alignment.
+/// The scalar h kernel: evaluates the h / increment / density planes
+/// for every lane [0, soa.stride), pad lanes included. One expression,
+/// one association order — the same sequence of IEEE operations the
+/// AVX2 kernel performs lane-parallel, and the same h_value_unchecked
+/// performs on the direct path.
 void build_htables_scalar(const SlotProblemSoA& soa, const QoeParams& params,
-                          std::size_t begin, std::size_t end, double* h,
-                          double* increment, double* density);
+                          double* h, double* increment, double* density);
 
 #if defined(CVR_HAVE_AVX2)
-/// The AVX2 h kernel (htable_avx2.cpp, compiled with -mavx2).
-/// @pre begin and end are multiples of simd::kLanes (plane stride is
-///   padded, so full-vector loads/stores never leave the planes).
+/// The AVX2 h kernel (htable_avx2.cpp, compiled with -mavx2). The
+/// plane stride is padded to simd::kLanes, so full-vector loads and
+/// stores never leave the planes.
 void build_htables_avx2(const SlotProblemSoA& soa, const QoeParams& params,
-                        std::size_t begin, std::size_t end, double* h,
-                        double* increment, double* density);
+                        double* h, double* increment, double* density);
 #endif
 
 }  // namespace detail

@@ -16,14 +16,10 @@
 
 #include <immintrin.h>
 
-#include <cassert>
-
 namespace cvr::core::detail {
 
 void build_htables_avx2(const SlotProblemSoA& soa, const QoeParams& params,
-                        std::size_t begin, std::size_t end, double* h,
-                        double* increment, double* density) {
-  assert(begin % simd::kLanes == 0 && end % simd::kLanes == 0);
+                        double* h, double* increment, double* density) {
   const std::size_t stride = soa.stride;
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d alpha = _mm256_set1_pd(params.alpha);
@@ -34,7 +30,7 @@ void build_htables_avx2(const SlotProblemSoA& soa, const QoeParams& params,
     const double* success_row = soa.success.data() + l * stride;
     const double* delay_row = soa.delay.data() + l * stride;
     double* out = h + l * stride;
-    for (std::size_t i = begin; i < end; i += simd::kLanes) {
+    for (std::size_t i = 0; i < stride; i += simd::kLanes) {
       const __m256d s = _mm256_loadu_pd(success_row + i);
       const __m256d w = _mm256_loadu_pd(soa.weight.data() + i);
       const __m256d qb = _mm256_loadu_pd(soa.qbar.data() + i);
@@ -62,7 +58,7 @@ void build_htables_avx2(const SlotProblemSoA& soa, const QoeParams& params,
     const double* r_hi = soa.rate.data() + (l + 1) * stride;
     double* inc = increment + l * stride;
     double* den = density + l * stride;
-    for (std::size_t i = begin; i < end; i += simd::kLanes) {
+    for (std::size_t i = 0; i < stride; i += simd::kLanes) {
       const __m256d dv = _mm256_sub_pd(_mm256_loadu_pd(h_hi + i),
                                        _mm256_loadu_pd(h_lo + i));
       const __m256d dr = _mm256_sub_pd(_mm256_loadu_pd(r_hi + i),

@@ -9,8 +9,8 @@
 namespace cvr::core {
 
 std::vector<std::string> allocator_names() {
-  return {"dv",      "dv-scan", "dv-warm",    "density", "value",
-          "firefly", "pavq",    "lagrangian", "optimal", "dp"};
+  return {"dv",   "dv-scan",    "density", "value", "firefly",
+          "pavq", "lagrangian", "optimal", "dp"};
 }
 
 std::unique_ptr<Allocator> make_allocator(const std::string& name,
@@ -22,14 +22,6 @@ std::unique_ptr<Allocator> make_allocator(const std::string& name,
     return std::make_unique<DvGreedyAllocator>(
         DvGreedyAllocator::Mode::kCombined,
         DvGreedyAllocator::Strategy::kScan);
-  }
-  if (name == "dv-warm") {
-    // Warm-start ABLATION: seeds each slot's ascent from the previous
-    // slot's allocation. Theorem 1's 1/2-gain bound is forfeited in
-    // this mode (see dv_greedy.h); results are still always feasible.
-    return std::make_unique<DvGreedyAllocator>(
-        DvGreedyAllocator::Mode::kCombined, DvGreedyAllocator::Strategy::kHeap,
-        /*warm_start=*/true);
   }
   if (name == "density") {
     return std::make_unique<DvGreedyAllocator>(

@@ -26,8 +26,8 @@ std::vector<std::string> allocator_names();
 /// Constructs the named allocator, or nullptr for an unknown name.
 /// Known names: "dv" (heap argmax, the default), "dv-scan" (the
 /// paper-literal O(N^2 L) scan, same results — the differential
-/// reference), "dv-warm", "density", "value", "firefly", "pavq",
-/// "lagrangian", "optimal" (brute force), "dp".
+/// reference), "density", "value", "firefly", "pavq", "lagrangian",
+/// "optimal" (brute force), "dp".
 std::unique_ptr<Allocator> make_allocator(
     const std::string& name,
     AllocatorContext context = AllocatorContext::kTraceSimulation);

@@ -54,7 +54,7 @@ const char* backend_name(Backend backend);
 /// Test hook: force the backend for subsequent active_backend() calls.
 /// Throws std::invalid_argument when kAvx2 is requested but
 /// avx2_available() is false. Not thread-safe — call from test setup
-/// only, never while allocators run on a pool.
+/// only, never while allocators run on other threads.
 void set_backend_for_testing(Backend backend);
 
 }  // namespace cvr::core::simd

@@ -40,9 +40,7 @@ namespace cvr::core {
 ///     shrink/grow churn).
 ///
 /// The arena is deliberately NOT thread-safe: a serving loop owns its
-/// arena exclusively. Within-slot parallel allocators (see
-/// Allocator::set_thread_pool) read the acquired problem concurrently
-/// but never mutate it, which is safe; two loops must use two arenas.
+/// arena exclusively; two loops must use two arenas.
 class SlotArena {
  public:
   /// @brief Returns the recycled problem sized for `users` entries,

@@ -101,7 +101,6 @@ struct FleetConfig {
   /// Must be 1: every server's slot runs serially on the calling thread
   /// (docs/fleet.md, "Serial by design"). The field is kept only so
   /// perfbench/ still builds; removing it belongs to a benchmark change.
-  /// Within-slot parallelism is base.allocator_threads.
   std::size_t threads = 1;
 };
 
@@ -148,9 +147,9 @@ class FleetSim {
   explicit FleetSim(FleetConfig config);
 
   /// Runs one repeat. Deterministic in (config, repeat): outcomes,
-  /// stats, and timeline are bit-identical across invocations and
-  /// base.allocator_threads values; telemetry is measurement metadata
-  /// except the fleet_ counters, which are deterministic event counts.
+  /// stats, and timeline are bit-identical across invocations;
+  /// telemetry is measurement metadata except the fleet_ counters,
+  /// which are deterministic event counts.
   FleetRunResult run(core::Allocator& allocator, std::size_t repeat,
                      system::Timeline* timeline = nullptr,
                      telemetry::Collector* telemetry = nullptr) const;

@@ -15,6 +15,12 @@ EmaThroughputEstimator::EmaThroughputEstimator(double alpha,
   if (!(alpha > 0.0 && alpha <= 1.0)) {  // also rejects NaN
     throw std::invalid_argument("EmaThroughputEstimator: alpha out of (0,1]");
   }
+  // A NaN start never leaves the EMA: value += alpha * (sample - value).
+  if (!std::isfinite(initial_mbps) || initial_mbps < 0.0) {
+    throw std::invalid_argument(
+        "EmaThroughputEstimator: initial_mbps must be finite and "
+        "non-negative");
+  }
 }
 
 void EmaThroughputEstimator::observe(double mbps) {

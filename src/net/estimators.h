@@ -23,6 +23,8 @@ namespace cvr::net {
 
 class EmaThroughputEstimator {
  public:
+  /// Throws std::invalid_argument on an alpha outside (0, 1] or a
+  /// non-finite or negative initial estimate.
   explicit EmaThroughputEstimator(double alpha = 0.2, double initial_mbps = 40.0);
 
   /// Records the throughput observed in the last slot (Mbps).

@@ -178,35 +178,35 @@ CheckResult check_htable_simd_matches_scalar(const SlotProblem& problem) {
   return pass();
 }
 
-/// Incremental rebuild ≡ full rebuild (docs/performance.md): a
-/// persistent HTableSet fed a mutating slot sequence — unchanged
-/// slots, single-user edits, membership churn (swap/copy), a user-count
-/// change and a QoeParams change (both full-rebuild triggers) — must be
-/// bitwise identical at every step to a fresh HTableSet built from
-/// scratch on the same problem. This is the exactness contract that
-/// lets every sim route through the dirty-row path unconditionally.
-CheckResult check_htable_incremental_matches_full(const SlotProblem& base) {
+/// Reused set ≡ fresh set: a persistent HTableSet fed a mutating slot
+/// sequence — unchanged slots, single-user edits, membership churn
+/// (swap/copy), a user-count change (the shrink must rewrite the pad
+/// lanes) and a QoeParams change — must be bitwise identical at every
+/// step to a fresh HTableSet built from scratch on the same problem.
+/// This is the contract that lets every engine keep one set per
+/// allocator and recycle its storage across slots.
+CheckResult check_htable_rebuild_matches_fresh(const SlotProblem& base) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   SlotProblem problem = base;
-  core::HTableSet incremental;
+  core::HTableSet reused;
   const auto compare = [&](const char* step) -> CheckResult {
-    core::HTableSet full;
-    full.build(problem);
-    incremental.build(problem);
+    core::HTableSet fresh;
+    fresh.build(problem);
+    reused.build(problem);
     for (std::size_t n = 0; n < problem.user_count(); ++n) {
       for (QualityLevel q = 1; q <= core::kNumQualityLevels; ++q) {
-        if (bits(full[n].value(q)) != bits(incremental[n].value(q))) {
+        if (bits(fresh[n].value(q)) != bits(reused[n].value(q))) {
           return fail(std::string(step) + ": user " + std::to_string(n) +
-                      " level " + std::to_string(q) + ": full h " +
-                      show_double(full[n].value(q)) + " != incremental " +
-                      show_double(incremental[n].value(q)));
+                      " level " + std::to_string(q) + ": fresh h " +
+                      show_double(fresh[n].value(q)) + " != reused " +
+                      show_double(reused[n].value(q)));
         }
         if (q >= core::kNumQualityLevels) continue;
-        if (bits(full[n].increment(q)) != bits(incremental[n].increment(q))) {
+        if (bits(fresh[n].increment(q)) != bits(reused[n].increment(q))) {
           return fail(std::string(step) + ": user " + std::to_string(n) +
                       " step " + std::to_string(q) + ": increments differ");
         }
-        if (bits(full[n].density(q)) != bits(incremental[n].density(q))) {
+        if (bits(fresh[n].density(q)) != bits(reused[n].density(q))) {
           return fail(std::string(step) + ": user " + std::to_string(n) +
                       " step " + std::to_string(q) + ": densities differ");
         }
@@ -221,7 +221,7 @@ CheckResult check_htable_incremental_matches_full(const SlotProblem& base) {
   if (!r.ok) return r;
   const std::size_t n_users = problem.user_count();
   if (n_users >= 2) {
-    problem.users[0] = problem.users[n_users / 2];  // one dirty row
+    problem.users[0] = problem.users[n_users / 2];  // one user changed
     r = compare("one-user copy");
     if (!r.ok) return r;
     std::swap(problem.users[0], problem.users[n_users - 1]);  // churn
@@ -231,13 +231,13 @@ CheckResult check_htable_incremental_matches_full(const SlotProblem& base) {
   problem.users[0].qbar += 0.25;
   r = compare("qbar drift");
   if (!r.ok) return r;
-  problem.users.push_back(problem.users[0]);  // count change: full fallback
+  problem.users.push_back(problem.users[0]);  // count change
   r = compare("user added");
   if (!r.ok) return r;
   problem.users.pop_back();
   r = compare("user removed");
   if (!r.ok) return r;
-  problem.params.alpha = problem.params.alpha * 0.5 + 0.001;  // full fallback
+  problem.params.alpha = problem.params.alpha * 0.5 + 0.001;
   r = compare("alpha change");
   if (!r.ok) return r;
   problem.users.back().delta =
@@ -1312,9 +1312,9 @@ void register_builtin_properties(Registry& registry) {
   CVR_PROPERTY_ITERS("core.htable_simd_matches_scalar", 10000,
                      slot_problems(extreme_rates_config()),
                      check_htable_simd_matches_scalar);
-  CVR_PROPERTY_ITERS("core.htable_incremental_matches_full", 10000,
+  CVR_PROPERTY_ITERS("core.htable_rebuild_matches_fresh", 10000,
                      slot_problems(tie_heavy_config()),
-                     check_htable_incremental_matches_full);
+                     check_htable_rebuild_matches_fresh);
   {
     SlotProblemGenConfig theorem = published_model_config();
     theorem.max_users = 6;

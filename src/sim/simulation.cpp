@@ -7,7 +7,6 @@
 
 #include "src/core/slot_arena.h"
 #include "src/net/mm1.h"
-#include "src/util/thread_pool.h"
 
 namespace cvr::sim {
 
@@ -61,18 +60,6 @@ std::vector<UserOutcome> TraceSimulation::run(
     telemetry::Collector* telemetry) const {
   const std::size_t n_users = config_.users;
   allocator.reset();
-  // Optional within-slot pool, detached before destruction so the
-  // allocator never holds a dangling pointer past this run.
-  std::unique_ptr<cvr::ThreadPool> slot_pool;
-  if (config_.allocator_threads > 0) {
-    slot_pool = std::make_unique<cvr::ThreadPool>(
-        cvr::resolve_thread_count(config_.allocator_threads));
-  }
-  allocator.set_thread_pool(slot_pool.get());
-  struct PoolDetach {
-    core::Allocator& allocator;
-    ~PoolDetach() { allocator.set_thread_pool(nullptr); }
-  } pool_detach{allocator};
   if (telemetry != nullptr && !telemetry->counting()) telemetry = nullptr;
   if (telemetry != nullptr && telemetry->tracing()) {
     telemetry->label_process(telemetry::Collector::kServerPid, "server");

@@ -66,13 +66,6 @@ struct TraceSimConfig {
   /// assigned scene u % scenes, each scene being an independently seeded
   /// content database (different per-cell rate functions).
   std::size_t scenes = 2;
-  /// Within-slot allocator parallelism (distinct from the ensemble
-  /// runner's across-cell threads): 0 = serial (default); k > 0 lends
-  /// the allocator a ThreadPool of resolve_thread_count(k) workers for
-  /// its per-slot fork-join spans (engaged only at large user counts —
-  /// see DvGreedyAllocator::kDefaultParallelMinUsers). Bit-identical
-  /// results either way; this is purely an execution knob.
-  std::size_t allocator_threads = 0;
 };
 
 /// Per-(slot, user) record of a trace-simulation run — the platform's

@@ -10,7 +10,6 @@
 #include "src/core/registry.h"
 #include "src/net/mm1.h"
 #include "src/proto/messages.h"
-#include "src/util/thread_pool.h"
 #include "src/util/units.h"
 
 namespace cvr::system {
@@ -69,6 +68,11 @@ LoadServer::LoadServer(LoadServiceConfig config) : config_(std::move(config)) {
   if (config_.max_queue_depth == 0) {
     throw std::invalid_argument("LoadServer: max_queue_depth must be >= 1");
   }
+  if (config_.allocator_threads != 0) {
+    throw std::invalid_argument(
+        "LoadServiceConfig.allocator_threads: must be 0 (within-slot "
+        "parallelism was removed)");
+  }
   if (!core::make_allocator(config_.allocator,
                             core::AllocatorContext::kSystem)) {
     throw std::invalid_argument("LoadServer: unknown allocator '" +
@@ -97,18 +101,6 @@ LoadServiceReport LoadServer::run(std::size_t slots,
   AdmissionController admission(config_.admission);
   auto allocator =
       core::make_allocator(config_.allocator, core::AllocatorContext::kSystem);
-  // Optional within-slot pool (same contract as SystemSim): detached
-  // before destruction so the allocator never dangles past this run.
-  std::unique_ptr<cvr::ThreadPool> slot_pool;
-  if (config_.allocator_threads > 0) {
-    slot_pool = std::make_unique<cvr::ThreadPool>(
-        cvr::resolve_thread_count(config_.allocator_threads));
-  }
-  allocator->set_thread_pool(slot_pool.get());
-  struct PoolDetach {
-    core::Allocator& allocator;
-    ~PoolDetach() { allocator.set_thread_pool(nullptr); }
-  } pool_detach{*allocator};
   // Session attributes come from a stream independent of the arrival
   // process, derived from the same master seed.
   cvr::Rng rng(config_.traffic.seed ^ 0x6C7F9D2E5A3B1810ull);

@@ -96,11 +96,9 @@ struct LoadServiceConfig {
   /// Accept-queue bound: pending connects beyond this are rejected
   /// immediately (the "listen backlog").
   std::size_t max_queue_depth = 256;
-  /// Within-slot allocator parallelism, mirroring
-  /// SystemSimConfig::allocator_threads: 0 = serial (default); k > 0
-  /// lends the allocator a ThreadPool of resolve_thread_count(k)
-  /// workers for its per-slot fork-join spans. Bit-identical results
-  /// either way (see Allocator::set_thread_pool).
+  /// Must be 0: every slot's allocation runs serially on the calling
+  /// thread. The field is kept only so perfbench/ still builds; it goes
+  /// with the next benchmark change (ROADMAP item 4).
   std::size_t allocator_threads = 0;
   /// Safety valve on the drain phase (slots past the arrival horizon).
   std::size_t max_drain_slots = 120000;
@@ -146,7 +144,8 @@ class LoadServer {
  public:
   /// Validates the config (throws std::invalid_argument on a zero
   /// capacity, non-positive bandwidths, an out-of-range jitter or delta
-  /// band, or an unknown allocator name).
+  /// band, an unknown allocator name, or a non-zero
+  /// allocator_threads).
   explicit LoadServer(LoadServiceConfig config);
 
   const LoadServiceConfig& config() const { return config_; }

@@ -118,8 +118,7 @@ SimRun::SimRun(const SystemSimConfig& config, std::size_t repeat,
       cap(config.users, core::kNumQualityLevels),
       member_index(config.users, 0),
       requests(config.users),
-      granted(config.users, 0.0),
-      borrower_(allocator) {
+      granted(config.users, 0.0) {
   unmargined.margin_deg = 0.0;
   allocator.reset();
   if (telemetry != nullptr && telemetry->tracing()) {
@@ -129,16 +128,6 @@ SimRun::SimRun(const SystemSimConfig& config, std::size_t repeat,
                                "user " + std::to_string(u));
     }
   }
-  if (config.allocator_threads > 0) {
-    pool_ = std::make_unique<cvr::ThreadPool>(
-        cvr::resolve_thread_count(config.allocator_threads));
-  }
-  allocator.set_thread_pool(pool_.get());
-}
-
-SimRun::~SimRun() {
-  // Detach before the pool dies: the allocator outlives this run.
-  borrower_.set_thread_pool(nullptr);
 }
 
 std::vector<sim::UserOutcome> SimRun::finalize() {

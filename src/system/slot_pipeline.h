@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/core/allocator.h"
@@ -32,7 +31,6 @@
 #include "src/system/timeline.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace cvr::system {
 
@@ -72,16 +70,12 @@ std::vector<UserWorld> build_user_worlds(const SystemSimConfig& config,
 /// One repeat of a run, before and after its slots. Construction resets
 /// the allocator, labels the trace processes, derives the shared
 /// measurement RNG from (config.seed, repeat), draws the access network
-/// from it, builds the user worlds, and lends the allocator its
-/// within-slot thread pool: one of config.allocator_threads workers, or
-/// none (serial) when that is 0. The allocator is detached again on
-/// destruction.
+/// from it, and builds the user worlds.
 class SimRun {
  public:
   SimRun(const SystemSimConfig& config, std::size_t repeat,
          core::Allocator& allocator, Timeline* timeline,
          telemetry::Collector* collector);
-  ~SimRun();
 
   /// Folds every user's world into its sim::UserOutcome (QoE, hit rate,
   /// FPS, recovery accounting), in user order.
@@ -128,10 +122,6 @@ class SimRun {
     std::vector<proto::DeliveryAck> delivery_received;
     std::vector<proto::ReleaseAck> release_received;
   } serve;
-
- private:
-  core::Allocator& borrower_;  ///< The allocator lent pool_.
-  std::unique_ptr<cvr::ThreadPool> pool_;
 };
 
 /// One edge server and its per-slot working storage: the arena recycles

@@ -74,6 +74,16 @@ void validate(const SystemSimConfig& config) {
                               "server.params.beta");
   require_finite_non_negative(config.delay_measurement_window_ms,
                               "delay_measurement_window_ms");
+  require_finite_non_negative(config.server.initial_bandwidth_estimate_mbps,
+                              "server.initial_bandwidth_estimate_mbps");
+  require_finite_non_negative(config.server.fallback_headroom_fraction,
+                              "server.fallback_headroom_fraction");
+  if (!std::isfinite(config.server.rtp_packet_bits) ||
+      config.server.rtp_packet_bits <= 0.0) {
+    throw std::invalid_argument(
+        "SystemSimConfig.server.rtp_packet_bits: must be finite and "
+        "positive");
+  }
   if (!std::isfinite(config.client.display_deadline_ms) ||
       config.client.display_deadline_ms <= 0.0) {
     throw std::invalid_argument(
@@ -94,6 +104,11 @@ void validate(const SystemSimConfig& config) {
   if (!(config.server.ema_alpha > 0.0 && config.server.ema_alpha <= 1.0)) {
     throw std::invalid_argument(
         "SystemSimConfig.server.ema_alpha: must lie in (0, 1]");
+  }
+  if (config.allocator_threads != 0) {
+    throw std::invalid_argument(
+        "SystemSimConfig.allocator_threads: must be 0 (within-slot "
+        "parallelism was removed)");
   }
 }
 

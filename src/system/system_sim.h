@@ -103,10 +103,9 @@ struct SystemSimConfig {
   /// fields of sim::UserOutcome.
   faults::FaultSchedule faults;
 
-  /// Within-slot allocator parallelism: 0 = serial (default); k > 0
-  /// lends the allocator a ThreadPool of resolve_thread_count(k)
-  /// workers for its per-slot fork-join spans. Bit-identical results
-  /// either way (see Allocator::set_thread_pool).
+  /// Must be 0: every slot's allocation runs serially on the calling
+  /// thread. The field is kept only so perfbench/ still builds; it goes
+  /// with the next benchmark change (ROADMAP item 4).
   std::size_t allocator_threads = 0;
 };
 
@@ -115,10 +114,12 @@ struct SystemSimConfig {
 /// upload period, a non-finite or non-positive router_aggregate_mbps, or
 /// a non-finite or negative throttle_pool_mbps entry,
 /// bandwidth_measurement_sigma, delay_accounting_cap_ms,
-/// server.params.alpha, server.params.beta or
-/// delay_measurement_window_ms, a non-finite or non-positive
-/// client.display_deadline_ms, a zero client.buffer_threshold or
-/// devices[i].buffer_threshold, or a server.ema_alpha outside (0, 1].
+/// server.params.alpha, server.params.beta,
+/// delay_measurement_window_ms, server.initial_bandwidth_estimate_mbps
+/// or server.fallback_headroom_fraction, a non-finite or non-positive
+/// client.display_deadline_ms or server.rtp_packet_bits, a zero
+/// client.buffer_threshold or devices[i].buffer_threshold, a
+/// server.ema_alpha outside (0, 1], or a non-zero allocator_threads.
 /// SystemSim and fleet::FleetSim both call it on construction.
 void validate(const SystemSimConfig& config);
 

@@ -49,11 +49,9 @@ class ThreadPool {
   /// runs the task inline instead of enqueueing it — with one FIFO
   /// queue, a worker that blocked on a future for a task queued behind
   /// its own would deadlock the moment every worker does it (any task
-  /// that fans out onto the pool it runs on, e.g. an allocator lent the
-  /// pool its caller's tasks already occupy). Inline execution keeps the
-  /// future contract (value or exception captured) and, because a
-  /// fork-join span only ever partitions disjoint state, cannot change
-  /// any result bit.
+  /// that fans out onto the pool it runs on). Inline execution keeps
+  /// the future contract (value or exception captured); the task runs
+  /// the same code on the same inputs, so no result bit changes.
   bool on_worker_thread() const;
 
   /// Enqueues `fn` and returns a future for its result. Tasks start in

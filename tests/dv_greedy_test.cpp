@@ -8,7 +8,6 @@
 
 #include "core_test_util.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 #include "src/core/optimal.h"
 
 namespace cvr::core {
@@ -302,20 +301,13 @@ SlotProblem service_scale_problem(std::uint64_t seed, std::size_t n_users,
   return problem;
 }
 
-void expect_heap_matches_scan(const SlotProblem& problem,
-                              cvr::ThreadPool* pool) {
+void expect_heap_matches_scan(const SlotProblem& problem) {
   using Strategy = DvGreedyAllocator::Strategy;
   for (auto mode : {DvGreedyAllocator::Mode::kDensityOnly,
                     DvGreedyAllocator::Mode::kValueOnly,
                     DvGreedyAllocator::Mode::kCombined}) {
     DvGreedyAllocator scan(mode, Strategy::kScan);
     DvGreedyAllocator heap(mode, Strategy::kHeap);
-    if (pool != nullptr) {
-      for (DvGreedyAllocator* dv : {&scan, &heap}) {
-        dv->set_thread_pool(pool);
-        dv->set_parallel_min_users(1);
-      }
-    }
     const Allocation a = scan.allocate(problem);
     const Allocation b = heap.allocate(problem);
     EXPECT_EQ(a.levels, b.levels);
@@ -331,9 +323,7 @@ TEST(DvGreedyServiceScale, HeapMatchesScanWithMostUsersCapped) {
   roomy.server_bandwidth = 1e12;
   EXPECT_GT(total_rate(roomy, DvGreedyAllocator{}.allocate(roomy).levels),
             problem.server_bandwidth);
-  expect_heap_matches_scan(problem, nullptr);
-  cvr::ThreadPool pool(3);
-  expect_heap_matches_scan(problem, &pool);
+  expect_heap_matches_scan(problem);
 }
 
 TEST(DvGreedyServiceScale, AllCappedInstanceStaysAllOnes) {
@@ -341,97 +331,7 @@ TEST(DvGreedyServiceScale, AllCappedInstanceStaysAllOnes) {
   const SlotProblem problem = service_scale_problem(14, 2000, 1.0);
   const std::vector<QualityLevel> ones(problem.user_count(), 1);
   EXPECT_EQ(DvGreedyAllocator{}.allocate(problem).levels, ones);
-  expect_heap_matches_scan(problem, nullptr);
-  cvr::ThreadPool pool(3);
-  expect_heap_matches_scan(problem, &pool);
-}
-
-// --- Warm-start ablation ("dv-warm") ---------------------------------
-// Theorem 1's ½-gain bound is FORFEITED in this mode (it conditions on
-// the all-ones start); the invariants that remain — always feasible,
-// cold-identical first call, never worse on a repeated problem, reset()
-// restores cold behaviour — are pinned here.
-
-DvGreedyAllocator make_warm() {
-  return DvGreedyAllocator(DvGreedyAllocator::Mode::kCombined,
-                           DvGreedyAllocator::Strategy::kHeap,
-                           /*warm_start=*/true);
-}
-
-TEST(DvGreedyWarm, NameAndColdFirstCallMatchDefault) {
-  DvGreedyAllocator warm = make_warm();
-  EXPECT_EQ(warm.name(), "dv-warm");
-  // With no previous slot, the seed is all-ones: bit-identical to the
-  // default allocator.
-  DvGreedyAllocator cold;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const SlotProblem problem = random_problem(seed, 7);
-    warm.reset();
-    EXPECT_EQ(warm.allocate(problem).levels, cold.allocate(problem).levels)
-        << "seed " << seed;
-  }
-}
-
-TEST(DvGreedyWarm, AlwaysFeasibleAcrossDriftingSlots) {
-  // A drifting slot sequence: warm seeds come from a DIFFERENT problem
-  // than the one being solved, so the repair path gets exercised.
-  DvGreedyAllocator warm = make_warm();
-  for (std::uint64_t slot = 1; slot <= 40; ++slot) {
-    SlotProblem problem = random_problem(slot, 9);
-    problem.server_bandwidth *= 0.6 + 0.1 * static_cast<double>(slot % 8);
-    const Allocation a = warm.allocate(problem);
-    EXPECT_TRUE(allocation_feasible(problem, a.levels)) << "slot " << slot;
-  }
-}
-
-TEST(DvGreedyWarm, RepairsAfterBudgetCollapse) {
-  // Roomy slot first, then the budget collapses to the all-ones minimum:
-  // the previous (high) allocation must be repaired down to feasibility.
-  SlotProblem roomy = random_problem(3, 6);
-  roomy.server_bandwidth *= 10.0;
-  DvGreedyAllocator warm = make_warm();
-  warm.allocate(roomy);
-  SlotProblem tight = roomy;
-  double min_rate = 0.0;
-  for (const auto& user : tight.users) min_rate += user.rate[0];
-  tight.server_bandwidth = min_rate;
-  const Allocation a = warm.allocate(tight);
-  EXPECT_TRUE(allocation_feasible(tight, a.levels));
-}
-
-TEST(DvGreedyWarm, NotWorseThanColdOnRepeatedProblem) {
-  // On an identical repeated problem the warm seed IS the previous
-  // (feasible) result, and the ascent only adds non-negative marginals:
-  // objective >= cold objective.
-  DvGreedyAllocator cold;
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const SlotProblem problem = random_problem(seed, 8);
-    const double cold_objective = cold.allocate(problem).objective;
-    DvGreedyAllocator warm = make_warm();
-    warm.allocate(problem);
-    const Allocation repeat = warm.allocate(problem);
-    EXPECT_GE(repeat.objective, cold_objective - 1e-12) << "seed " << seed;
-    EXPECT_TRUE(allocation_feasible(problem, repeat.levels));
-  }
-}
-
-TEST(DvGreedyWarm, UserCountChangeFallsBackToCold) {
-  DvGreedyAllocator warm = make_warm();
-  warm.allocate(random_problem(1, 12));
-  const SlotProblem smaller = random_problem(2, 5);
-  DvGreedyAllocator cold;
-  EXPECT_EQ(warm.allocate(smaller).levels, cold.allocate(smaller).levels);
-}
-
-TEST(DvGreedyWarm, ResetRestoresColdBehaviour) {
-  const SlotProblem problem = random_problem(9, 8);
-  DvGreedyAllocator warm = make_warm();
-  DvGreedyAllocator cold;
-  const Allocation first = warm.allocate(problem);
-  EXPECT_EQ(first.levels, cold.allocate(problem).levels);
-  warm.allocate(problem);  // builds warm memory
-  warm.reset();
-  EXPECT_EQ(warm.allocate(problem).levels, first.levels);
+  expect_heap_matches_scan(problem);
 }
 
 // Monotonicity sweep: more server bandwidth never lowers the objective.

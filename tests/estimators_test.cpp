@@ -58,6 +58,15 @@ TEST(EmaThroughputEstimator, SmoothsNoise) {
 TEST(EmaThroughputEstimator, RejectsBadInput) {
   EXPECT_THROW(EmaThroughputEstimator(0.0, 40.0), std::invalid_argument);
   EXPECT_THROW(EmaThroughputEstimator(1.1, 40.0), std::invalid_argument);
+  // A NaN start would never leave the EMA: every later update computes
+  // NaN + alpha * (sample - NaN).
+  for (double initial : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(), -1.0}) {
+    EXPECT_THROW(EmaThroughputEstimator(0.2, initial), std::invalid_argument)
+        << initial;
+  }
+  EXPECT_NO_THROW(EmaThroughputEstimator(0.2, 0.0));
 }
 
 TEST(EmaThroughputEstimator, NegativeSampleClampsToZero) {

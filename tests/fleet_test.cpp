@@ -29,7 +29,6 @@
 #include "src/system/system_sim.h"
 #include "src/system/timeline.h"
 #include "src/telemetry/telemetry.h"
-#include "src/util/thread_pool.h"
 
 namespace cvr {
 namespace {
@@ -563,6 +562,22 @@ TEST(SystemSimConfig, NumericFieldsNameTheField) {
           {"SystemSimConfig.server.ema_alpha",
            [](auto& c, double v) { c.server.ema_alpha = v; },
            {nan, inf, -inf, -0.5, 0.0, 1.5}},
+          {"SystemSimConfig.server.initial_bandwidth_estimate_mbps",
+           [](auto& c, double v) {
+             c.server.initial_bandwidth_estimate_mbps = v;
+           },
+           {nan, inf, -inf, -1.0}},
+          {"SystemSimConfig.server.rtp_packet_bits",
+           [](auto& c, double v) { c.server.rtp_packet_bits = v; },
+           {nan, inf, -inf, -1.0, 0.0}},
+          {"SystemSimConfig.server.fallback_headroom_fraction",
+           [](auto& c, double v) { c.server.fallback_headroom_fraction = v; },
+           {nan, inf, -inf, -0.1}},
+          {"SystemSimConfig.allocator_threads",
+           [](auto& c, double v) {
+             c.allocator_threads = static_cast<std::size_t>(v);
+           },
+           {2.0}},
       };
   const auto expect_named = [](const std::function<void()>& construct,
                                const std::string& field, double value) {
@@ -586,7 +601,8 @@ TEST(SystemSimConfig, NumericFieldsNameTheField) {
   }
   // The boundary values stay legal: zero throttle, zero noise, zero cap,
   // zero QoE weights, a zero measurement window, a threshold of one,
-  // and an EMA weight of exactly 1.
+  // an EMA weight of exactly 1, a zero initial bandwidth estimate and a
+  // zero fallback headroom.
   system::SystemSimConfig edge = system::setup_one_router(2);
   edge.throttle_pool_mbps = {0.0, 40.0};
   edge.bandwidth_measurement_sigma = 0.0;
@@ -596,58 +612,9 @@ TEST(SystemSimConfig, NumericFieldsNameTheField) {
   edge.client.buffer_threshold = 1;
   edge.devices.at(1).buffer_threshold = 1;
   edge.server.ema_alpha = 1.0;
+  edge.server.initial_bandwidth_estimate_mbps = 0.0;
+  edge.server.fallback_headroom_fraction = 0.0;
   EXPECT_NO_THROW(system::SystemSim{edge});
-}
-
-// ---------------------------------------------------------------------
-// Within-slot allocator pool (SystemSimConfig::allocator_threads) on the
-// fleet.
-
-/// A dv allocator that records the pools it is lent.
-class PoolSpyAllocator : public core::Allocator {
- public:
-  std::string_view name() const override { return inner_.name(); }
-  core::Allocation allocate(const core::SlotProblem& problem) override {
-    return inner_.allocate(problem);
-  }
-  void set_thread_pool(cvr::ThreadPool* pool) override {
-    if (pool != nullptr) lent = true;
-    attached = pool != nullptr;
-    inner_.set_thread_pool(pool);
-  }
-
-  bool lent = false;
-  bool attached = false;
-
- private:
-  core::DvGreedyAllocator inner_;
-};
-
-TEST(FleetAllocatorThreads, LendsThePoolOnTheSerialSchedule) {
-  fleet::FleetConfig config = crash_config(fleet::AssignmentMode::kShardedHash);
-  config.base.slots = 50;
-  config.base.allocator_threads = 2;
-  PoolSpyAllocator spy;
-  fleet::FleetSim(config).run(spy, 0);
-  EXPECT_TRUE(spy.lent);
-  EXPECT_FALSE(spy.attached);  // detached before the pool is destroyed
-}
-
-TEST(FleetAllocatorThreads, BitIdenticalToTheSerialAllocator) {
-  fleet::FleetConfig config = crash_config(fleet::AssignmentMode::kShardedHash);
-  const auto run = [&](std::size_t allocator_threads, system::Timeline* tl) {
-    fleet::FleetConfig c = config;
-    c.base.allocator_threads = allocator_threads;
-    core::DvGreedyAllocator alloc;
-    alloc.set_parallel_min_users(1);  // engage the pool at this scale
-    return fleet::FleetSim(c).run(alloc, 0, tl);
-  };
-  system::Timeline serial_tl;
-  system::Timeline pooled_tl;
-  const fleet::FleetRunResult serial = run(0, &serial_tl);
-  const fleet::FleetRunResult pooled = run(2, &pooled_tl);
-  expect_outcomes_identical(serial.outcomes, pooled.outcomes);
-  expect_timelines_identical(serial_tl, pooled_tl);
 }
 
 }  // namespace

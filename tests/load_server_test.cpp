@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "src/telemetry/telemetry.h"
 
@@ -220,6 +221,20 @@ TEST(LoadServer, ConfigValidation) {
   bad = small_config();
   bad.traffic.load = -1.0;
   EXPECT_THROW(LoadServer{bad}, std::invalid_argument);
+}
+
+TEST(LoadServer, RejectsAllocatorThreadsNamingTheField) {
+  LoadServiceConfig bad = small_config();
+  bad.allocator_threads = 2;
+  try {
+    LoadServer server(bad);
+    ADD_FAILURE() << "allocator_threads = 2 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what())
+                  .rfind("LoadServiceConfig.allocator_threads:", 0),
+              0u)
+        << error.what();
+  }
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 // SIMD backend contract tests: dispatch rules and the scalar≡AVX2
 // bit-exactness guarantee of the SoA h-table kernels
-// (docs/vectorization.md). The ParallelMerge suite additionally pins
-// the within-slot parallel path bit-identical to serial — it is the
-// target of the TSan CI leg.
+// (docs/vectorization.md).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,7 +12,6 @@
 #include "src/core/dv_greedy.h"
 #include "src/core/htable.h"
 #include "src/core/simd.h"
-#include "src/util/thread_pool.h"
 
 namespace cvr::core {
 namespace {
@@ -140,6 +137,13 @@ TEST(SimdHTable, RateValidationThrowsUnderEveryBackend) {
   }
 }
 
+TEST(SimdHTable, ShortFrameLossThrowsOutOfRange) {
+  SlotProblem problem = random_problem(5, 40);
+  problem.users[17].frame_loss = {0.1, 0.1};  // shorter than L: throws
+  HTableSet tables;
+  EXPECT_THROW(tables.build(problem), std::out_of_range);
+}
+
 TEST(SimdGreedy, AllocationsIdenticalAcrossBackends) {
   if (!simd::avx2_available()) GTEST_SKIP() << "no AVX2 on this host/build";
   const BackendGuard guard;
@@ -161,74 +165,6 @@ TEST(SimdGreedy, AllocationsIdenticalAcrossBackends) {
       }
     }
   }
-}
-
-// --- Within-slot parallelism: bit-identical to serial, race-free ------
-// (This suite is the TSan CI target: names must keep matching the
-// "ParallelMerge" filter in .github/workflows/ci.yml.)
-
-TEST(ParallelMerge, HTableBuildMatchesSerialBitExact) {
-  cvr::ThreadPool pool(4);
-  for (std::size_t users : {1u, 4u, 121u, 1000u}) {
-    const SlotProblem problem = random_problem(500 + users, users);
-    HTableSet serial_tables;
-    serial_tables.build(problem);
-    HTableSet parallel_tables;
-    parallel_tables.build(problem, &pool, /*parallel_min_users=*/1);
-    ASSERT_EQ(serial_tables.size(), parallel_tables.size());
-    for (std::size_t n = 0; n < problem.user_count(); ++n) {
-      for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
-        ASSERT_EQ(bits(serial_tables[n].value(q)),
-                  bits(parallel_tables[n].value(q)))
-            << "N " << users << " user " << n << " level " << q;
-        if (q >= kNumQualityLevels) continue;
-        ASSERT_EQ(bits(serial_tables[n].density(q)),
-                  bits(parallel_tables[n].density(q)));
-      }
-    }
-  }
-}
-
-TEST(ParallelMerge, DvGreedyPoolMatchesSerialBitExact) {
-  cvr::ThreadPool pool(4);
-  using Strategy = DvGreedyAllocator::Strategy;
-  for (Strategy strategy : {Strategy::kScan, Strategy::kHeap}) {
-    DvGreedyAllocator serial_dv(DvGreedyAllocator::Mode::kCombined, strategy);
-    DvGreedyAllocator parallel_dv(DvGreedyAllocator::Mode::kCombined,
-                                  strategy);
-    parallel_dv.set_thread_pool(&pool);
-    parallel_dv.set_parallel_min_users(1);
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      const SlotProblem problem = random_problem(seed, 150);
-      const Allocation a = serial_dv.allocate(problem);
-      const Allocation b = parallel_dv.allocate(problem);
-      EXPECT_EQ(a.levels, b.levels) << "seed " << seed;
-      EXPECT_EQ(bits(a.objective), bits(b.objective)) << "seed " << seed;
-    }
-  }
-}
-
-TEST(ParallelMerge, RepeatedParallelRunsAreDeterministic) {
-  cvr::ThreadPool pool(4);
-  DvGreedyAllocator dv;
-  dv.set_thread_pool(&pool);
-  dv.set_parallel_min_users(1);
-  const SlotProblem problem = random_problem(77, 333);
-  const Allocation first = dv.allocate(problem);
-  for (int run = 0; run < 10; ++run) {
-    const Allocation again = dv.allocate(problem);
-    ASSERT_EQ(first.levels, again.levels) << "run " << run;
-    ASSERT_EQ(bits(first.objective), bits(again.objective)) << "run " << run;
-  }
-}
-
-TEST(ParallelMerge, GatherExceptionPropagatesFromWorkers) {
-  cvr::ThreadPool pool(2);
-  SlotProblem problem = random_problem(5, 40);
-  problem.users[17].frame_loss = {0.1, 0.1};  // shorter than L: throws
-  HTableSet tables;
-  EXPECT_THROW(tables.build(problem, &pool, 1), std::out_of_range);
-  EXPECT_THROW(tables.build(problem), std::out_of_range);  // serial too
 }
 
 }  // namespace

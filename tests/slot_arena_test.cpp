@@ -206,33 +206,6 @@ TEST(ZeroAllocation, HTableSetRebuildSteadyState) {
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
 }
 
-TEST(ZeroAllocation, HTableSetIncrementalRebuildSteadyState) {
-  // The dirty-row path specifically: after warm-up, each slot mutates a
-  // single user and rebuilds. The fingerprint compare, dirty bitmap,
-  // and partial kernel sweep must all run allocation-free — including
-  // the occasional clean rebuild (no user changed at all).
-  SlotArena arena;
-  SlotProblem* problem = nullptr;
-  HTableSet tables;
-  constexpr std::size_t kUsers = 16;
-  for (std::size_t t = 0; t < 2; ++t) {
-    fill_slot(arena, kUsers, t, problem);
-    tables.build(*problem);
-  }
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (std::size_t t = 2; t < 12; ++t) {
-    const std::size_t u = t % kUsers;
-    const content::CrfRateFunction f(
-        14.2, 1.45, 1.0 + 0.05 * static_cast<double>(u + 7 * t));
-    problem->users[u] = UserSlotContext::from_rate_function(
-        f, 40.0 + 5.0 * static_cast<double>(u), 0.9,
-        0.5 * static_cast<double>(t), static_cast<double>(t + 1));
-    tables.build(*problem);
-    tables.build(*problem);  // fully-clean rebuild: nothing dirty
-  }
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
-}
-
 /// Runs `slot(t)` for t in [0, warm_up) and then over 10 steady-state
 /// slots, and returns the heap allocations of those 10 slots.
 template <typename SlotFn>
