@@ -19,12 +19,18 @@
 // users. Because an increment changes only the chosen user's own
 // marginal (h_n depends only on user n's state), a max-heap holding one
 // entry per raisable user gives the EXACT same ascent in
-// O(N + (K + I) log K), where K is the number of users whose next level
-// fits their own B_n (the only ones the heap ever holds — degrade-pinned
-// and ramp-capped sessions stay out) and I the number of increments;
-// `Strategy::kHeap` is the default. The scan stays the paper's plain
-// forward argmax over I — the readable reference the tests pin the
-// heap against, bitwise-identical allocations between the two.
+// O(N + K L + (K + I) log K), where K is the number of users whose next
+// level fits their own B_n (the only ones the heap ever holds —
+// degrade-pinned and ramp-capped sessions stay out) and I the number of
+// increments; `Strategy::kHeap` is the default. The heap is worked at
+// its root: an applied increment replaces the root with the user's
+// next-level entry and sifts it down once (a branch-free child pick),
+// and only a retire pops. The O(K L) term finds the smallest rate step
+// of those K users, which lets the pass stop as soon as even that step
+// would overrun B — every entry left would only retire. The scan stays
+// the paper's plain forward argmax over I — the readable reference the
+// tests pin the heap against, bitwise-identical allocations between
+// the two.
 //
 // Both strategies read their marginal scores from a per-slot HTable
 // (src/core/htable.h) precomputed in O(N L) by the SoA/SIMD kernel —
@@ -50,15 +56,17 @@ class DvGreedyAllocator final : public Allocator {
   /// Tie-break contract: when several users share the best marginal
   /// score, the ascent raises the user with the SMALLEST index. kScan
   /// keeps the first strict maximum of a plain forward scan over I;
-  /// kHeap's comparator orders equal scores by index,
-  /// and each user holds at most one entry, always scored at its
-  /// current level. This contract is what makes the two
-  /// strategies bit-identical — same levels, same objective — which the
-  /// property `core.dv_scan_heap_identical` pins across 10k tie-heavy
-  /// instances (duplicated users, quantized rates, boundary-exact
-  /// budgets). kHeap is the default: O(N + (K + I) log K) vs the scan's
-  /// O(N^2 L), with the scan kept as the paper-literal reference
-  /// implementation (registry name "dv-scan"), deliberately plain.
+  /// kHeap's order ranks equal scores by index, and each user holds at
+  /// most one entry, always scored at its current level. Both commit a
+  /// step's rate only when it fits, so a rejected step leaves the
+  /// running total exactly as it was. This contract is what makes the
+  /// two strategies bit-identical — same levels, same objective — which
+  /// the property `core.dv_scan_heap_identical` pins across 10k
+  /// tie-heavy instances (duplicated users, quantized rates,
+  /// boundary-exact budgets, NaN rate steps). kHeap is the default:
+  /// O(N + K L + (K + I) log K) vs the scan's O(N^2 L), with the scan
+  /// kept as the paper-literal reference implementation (registry name
+  /// "dv-scan"), deliberately plain.
   enum class Strategy { kScan, kHeap };
 
   explicit DvGreedyAllocator(Mode mode = Mode::kCombined,
@@ -86,6 +94,23 @@ class DvGreedyAllocator final : public Allocator {
     return rank == Rank::kDensity ? table.density(q) : table.increment(q);
   }
 
+  struct HeapEntry {
+    double score;
+    std::size_t user;
+  };
+
+  /// The heap order: `a` ranks below `b` when its score is lower, or
+  /// equal with a larger index (ties go to the smaller index, as in the
+  /// scan). Branch-free; a NaN score ranks neither below nor above.
+  static bool ranks_below(const HeapEntry& a, const HeapEntry& b) {
+    return (a.score < b.score) | ((a.score == b.score) & (a.user > b.user));
+  }
+
+  /// Writes `entry` into the hole at `hole` of the max-heap
+  /// heap[0, size) and sifts it down until no child ranks above it.
+  static void sift_down(HeapEntry* heap, std::size_t size, std::size_t hole,
+                        HeapEntry entry);
+
   /// One greedy ascent over tables_; writes the resulting levels.
   void greedy_pass(const SlotProblem& problem, Rank rank,
                    std::vector<QualityLevel>& q);
@@ -98,10 +123,6 @@ class DvGreedyAllocator final : public Allocator {
   // Per-slot scratch, recycled across allocate calls. An allocator
   // instance is single-threaded by contract (the ensemble runner gives
   // each parallel cell a fresh instance).
-  struct HeapEntry {
-    double score;
-    std::size_t user;
-  };
   HTableSet tables_;
   std::vector<QualityLevel> density_levels_;
   std::vector<QualityLevel> value_levels_;

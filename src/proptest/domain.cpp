@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "src/content/rate_function.h"
@@ -84,6 +85,12 @@ SlotProblemGenConfig tie_heavy_config() {
   return config;
 }
 
+SlotProblemGenConfig scan_heap_config() {
+  SlotProblemGenConfig config = tie_heavy_config();
+  config.unbounded_user_probability = 0.05;
+  return config;
+}
+
 SlotProblemGenConfig published_model_config() {
   SlotProblemGenConfig config;
   config.analytic_tables_only = true;
@@ -160,6 +167,18 @@ core::SlotProblem gen_slot_problem(cvr::Rng& rng,
     problem.server_bandwidth =
         min_rate_sum(problem) *
         rng.uniform(config.min_tightness, config.max_tightness);
+  }
+
+  // Guarded and drawn last, like the extreme-rate knob above: configs
+  // without it replay their seeds byte-identically.
+  if (config.unbounded_user_probability > 0.0 && !problem.users.empty() &&
+      rng.bernoulli(config.unbounded_user_probability)) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    problem.users[0].rate.fill(kInf);
+    problem.users[0].user_bandwidth = kInf;
+    for (std::size_t n = 1; n < problem.users.size(); ++n) {
+      problem.users[n].user_bandwidth = problem.users[n].rate[0];
+    }
   }
   return problem;
 }

@@ -56,6 +56,14 @@ struct SlotProblemGenConfig {
   /// half the time, delays into the DENORMAL range. The SIMD kernels
   /// must stay bit-identical to the scalar path even here.
   double extreme_rate_probability = 0.0;
+  /// Probability of making user 0 unbounded: every rate +inf under an
+  /// unbounded B_n. Each of its rate steps is then inf - inf = NaN,
+  /// which HTableSet lets through, and the all-ones total is +inf, so
+  /// only those NaN steps can be applied. Every other user is pinned
+  /// at level 1 (B_n = f(1)): user 0's entries, NaN-scored in the
+  /// density pass, are then the only ones the dv-heap holds. Drawn
+  /// last, so the instance is unchanged whenever it does not fire.
+  double unbounded_user_probability = 0.0;
 };
 
 /// Preset for the differential oracles that need an exact solver:
@@ -65,6 +73,11 @@ SlotProblemGenConfig small_exact_config();
 /// Preset for the scan-vs-heap bit-identity sweep: duplicate users and
 /// quantized rates to hammer score ties and budget boundaries.
 SlotProblemGenConfig tie_heavy_config();
+
+/// tie_heavy_config() plus unbounded users (unbounded_user_probability):
+/// the scan-vs-heap sweep draws both the dv-heap's budget cut-off and
+/// the NaN rate steps that must switch it off.
+SlotProblemGenConfig scan_heap_config();
 
 /// Preset for properties that assume the published (loss-oblivious,
 /// analytic-table) model, e.g. discrete concavity of h.

@@ -79,10 +79,12 @@ std::vector<core::simd::Backend> testable_backends() {
 /// Oracle 1: the lazy-heap argmax is bit-identical to the paper's plain
 /// scan — same levels, same objective — including exact score ties
 /// (tie_heavy_config duplicates users and quantizes rates to force
-/// them). Both implementations must break ties toward the smaller user
-/// index for this to hold. Run under EVERY available SIMD backend, and
-/// compared ACROSS backends too: scalar-scan, scalar-heap, avx2-scan
-/// and avx2-heap must all return the same bits.
+/// them), budgets that run out before the heap does (its budget
+/// cut-off) and NaN rate steps that must switch that cut-off off
+/// (scan_heap_config). Both implementations must break ties toward the
+/// smaller user index for this to hold. Run under EVERY available SIMD
+/// backend, and compared ACROSS backends too: scalar-scan,
+/// scalar-heap, avx2-scan and avx2-heap must all return the same bits.
 CheckResult check_scan_heap_identical(const SlotProblem& problem) {
   using Mode = DvGreedyAllocator::Mode;
   using Strategy = DvGreedyAllocator::Strategy;
@@ -1304,7 +1306,7 @@ CheckResult check_workload_defaults_inert(const std::uint64_t& seed) {
 void register_builtin_properties(Registry& registry) {
   // --- core: allocator differential oracles -------------------------------
   CVR_PROPERTY_ITERS("core.dv_scan_heap_identical", 10000,
-                     slot_problems(tie_heavy_config()),
+                     slot_problems(scan_heap_config()),
                      check_scan_heap_identical);
   CVR_PROPERTY_ITERS("core.htable_matches_direct", 10000,
                      slot_problems(tie_heavy_config()),

@@ -65,6 +65,16 @@ LoadServer::LoadServer(LoadServiceConfig config) : config_(std::move(config)) {
     throw std::invalid_argument(
         "LoadServer: rate_scale_sigma must be finite and >= 0");
   }
+  // A NaN QoE weight makes every h-score NaN, which leaves the
+  // allocator's ascent order undefined.
+  const auto require_weight = [](double value, const char* field) {
+    if (!std::isfinite(value) || value < 0.0) {
+      throw std::invalid_argument(std::string("LoadServiceConfig.params.") +
+                                  field + ": must be finite and non-negative");
+    }
+  };
+  require_weight(config_.params.alpha, "alpha");
+  require_weight(config_.params.beta, "beta");
   if (config_.max_queue_depth == 0) {
     throw std::invalid_argument("LoadServer: max_queue_depth must be >= 1");
   }

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "core_test_util.h"
 #include "src/util/rng.h"
@@ -14,6 +15,8 @@ namespace cvr::core {
 namespace {
 
 using testutil::make_crf_user;
+using testutil::make_grid_user;
+using testutil::make_user;
 using testutil::paper_case_density_fails;
 using testutil::paper_case_value_fails;
 using testutil::random_problem;
@@ -205,6 +208,72 @@ TEST(DvGreedy, NeverBelowItsAllOnesStart) {
   }
 }
 
+/// Both passes alone and combined, under both strategies, return
+/// `expected`.
+void expect_levels_in_every_mode(const SlotProblem& problem,
+                                 const std::vector<QualityLevel>& expected) {
+  for (auto mode : {DvGreedyAllocator::Mode::kDensityOnly,
+                    DvGreedyAllocator::Mode::kValueOnly,
+                    DvGreedyAllocator::Mode::kCombined}) {
+    for (auto strategy : {DvGreedyAllocator::Strategy::kScan,
+                          DvGreedyAllocator::Strategy::kHeap}) {
+      DvGreedyAllocator alloc(mode, strategy);
+      EXPECT_EQ(alloc.allocate(problem).levels, expected)
+          << "mode " << static_cast<int>(mode) << " strategy "
+          << static_cast<int>(strategy);
+    }
+  }
+}
+
+TEST(DvGreedy, RejectedIncrementRestoresTheBudgetExactly) {
+  // From the all-ones start (total u), user 0 scores highest in both
+  // ranks but its step inc0 overruns B, and fl(fl(u + inc0) - inc0)
+  // lands above u. User 1's step then fits only at the exact limit:
+  // fl(u + inc1) == fl(B + kFeasibilityEpsilon). A revert that
+  // recomputes the total instead of restoring it would retire user 1,
+  // and so would a budget cut-off that fired at equality.
+  SlotProblem problem;
+  problem.params = QoeParams{0.0, 0.0};  // h(q) = delta * q
+  problem.users.push_back(
+      make_user({0.9035240878873405, 789.838151872265, 1600, 2400, 3200, 4000},
+                {0, 0, 0, 0, 0, 0}, 1e4, 1.0));
+  problem.users.push_back(
+      make_user({0.5, 5.283593380034321, 100, 200, 300, 400},
+                {0, 0, 0, 0, 0, 0}, 5.283593380034321, 0.005));
+  problem.server_bandwidth = 6.187117466921661;
+
+  const auto& rate0 = problem.users[0].rate;
+  const auto& rate1 = problem.users[1].rate;
+  const double u = rate0[0] + rate1[0];
+  const double inc0 = rate0[1] - rate0[0];
+  const double inc1 = rate1[1] - rate1[0];
+  const double limit = problem.server_bandwidth + kFeasibilityEpsilon;
+  ASSERT_GT(u + inc0, limit);
+  ASSERT_GT((u + inc0) - inc0, u);
+  ASSERT_GT(((u + inc0) - inc0) + inc1, limit);
+  ASSERT_EQ(u + inc1, limit);
+
+  expect_levels_in_every_mode(problem, {1, 2});
+}
+
+TEST(DvGreedy, NanRateStepKeepsTheBudgetCutOffOff) {
+  // User 0's rates are all +inf under an unbounded B_n: the all-ones
+  // total is +inf, so every finite step overruns B, but each of user
+  // 0's steps is inf - inf = NaN, and `NaN > limit` is false — the
+  // ascent applies them. A cut-off that skipped NaN steps when taking
+  // the smallest step would stop the pass before the first one.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  SlotProblem problem;
+  problem.params = QoeParams{0.0, 0.0};
+  problem.users.push_back(make_user({kInf, kInf, kInf, kInf, kInf, kInf},
+                                    {0, 0, 0, 0, 0, 0}, kInf));
+  problem.users.push_back(make_grid_user(10.0));  // pinned at level 1
+  problem.users.push_back(make_grid_user(10.0));
+  problem.server_bandwidth = 100.0;
+
+  expect_levels_in_every_mode(problem, {kNumQualityLevels, 1, 1});
+}
+
 TEST(DvGreedyHeap, IdenticalToScanOnRandomInstances) {
   // The lazy-heap argmax must reproduce the scan's ascent EXACTLY —
   // same levels, not merely same objective — including tie-breaks.
@@ -331,6 +400,32 @@ TEST(DvGreedyServiceScale, AllCappedInstanceStaysAllOnes) {
   const SlotProblem problem = service_scale_problem(14, 2000, 1.0);
   const std::vector<QualityLevel> ones(problem.user_count(), 1);
   EXPECT_EQ(DvGreedyAllocator{}.allocate(problem).levels, ones);
+  expect_heap_matches_scan(problem);
+}
+
+TEST(DvGreedyServiceScale, HeapMatchesScanWhenTheBudgetRunsOutEarly) {
+  // A budget 3% above the all-ones minimum runs out while hundreds of
+  // users can still be raised within their own B_n, so the heap stops
+  // at the budget cut-off with those users' entries left. Steps differ
+  // by level and by user, so a step that overruns B can be followed by a
+  // smaller one that still fits.
+  SlotProblem problem = service_scale_problem(15, 2000, 0.2);
+  double mandatory = 0.0;
+  for (const UserSlotContext& user : problem.users) mandatory += user.rate[0];
+  problem.server_bandwidth = 1.03 * mandatory;
+
+  const std::vector<QualityLevel> levels =
+      DvGreedyAllocator{}.allocate(problem).levels;
+  const double used = total_rate(problem, levels);
+  std::size_t raisable_left = 0;
+  for (std::size_t n = 0; n < problem.user_count(); ++n) {
+    const UserSlotContext& user = problem.users[n];
+    if (levels[n] < kNumQualityLevels && user_feasible(user, levels[n] + 1)) {
+      ++raisable_left;
+    }
+  }
+  EXPECT_GT(raisable_left, 500u);
+  EXPECT_LE(used, problem.server_bandwidth + kFeasibilityEpsilon);
   expect_heap_matches_scan(problem);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -235,6 +236,31 @@ TEST(LoadServer, RejectsAllocatorThreadsNamingTheField) {
               0u)
         << error.what();
   }
+}
+
+void expect_rejected_naming(const LoadServiceConfig& bad,
+                            const std::string& prefix) {
+  try {
+    LoadServer server(bad);
+    ADD_FAILURE() << prefix << " value was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()).rfind(prefix, 0), 0u) << error.what();
+  }
+}
+
+TEST(LoadServer, RejectsBadQoeWeightsNamingTheField) {
+  for (double value : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(), -0.1}) {
+    LoadServiceConfig bad = small_config();
+    bad.params.alpha = value;
+    expect_rejected_naming(bad, "LoadServiceConfig.params.alpha:");
+    bad = small_config();
+    bad.params.beta = value;
+    expect_rejected_naming(bad, "LoadServiceConfig.params.beta:");
+  }
+  LoadServiceConfig zero = small_config();
+  zero.params = core::QoeParams{0.0, 0.0};
+  EXPECT_NO_THROW(LoadServer{zero});
 }
 
 }  // namespace
