@@ -25,10 +25,10 @@ SlotProblem random_problem(std::uint64_t seed, std::size_t users) {
   double total_min = 0.0;
   for (std::size_t n = 0; n < users; ++n) {
     const content::CrfRateFunction f(14.2, 1.45, rng.lognormal(0.0, 0.35));
-    problem.users.push_back(UserSlotContext::from_rate_function(
+    problem.push_back(UserSlotContext::from_rate_function(
         f, rng.uniform(20.0, 100.0), rng.uniform(0.5, 1.0),
         rng.uniform(0.0, 6.0), rng.uniform(1.0, 500.0)));
-    total_min += problem.users.back().rate[0];
+    total_min += problem.rate_of(problem.user_count() - 1, 1);
   }
   problem.server_bandwidth = total_min * rng.uniform(1.0, 2.5);
   return problem;
@@ -40,9 +40,7 @@ UserSlotContext table_user(const std::vector<double>& rates, double bandwidth,
   std::copy(rates.begin(), rates.end(), user.rate.begin());
   user.delay.fill(0.0);
   user.user_bandwidth = bandwidth;
-  user.delta = value_per_level;
-  user.qbar = 0.0;
-  user.slot = 1.0;
+  user.set_history(value_per_level, 0.0, 1.0);
   return user;
 }
 
@@ -50,9 +48,9 @@ UserSlotContext table_user(const std::vector<double>& rates, double bandwidth,
 SlotProblem density_trap(double s) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(
+  problem.push_back(
       table_user({0.1 * s, 0.6 * s, 100, 200, 300, 400}, 1.0 * s, 1.0));
-  problem.users.push_back(
+  problem.push_back(
       table_user({0.1 * s, 2.6 * s, 100, 200, 300, 400}, 3.0 * s, 4.0));
   problem.server_bandwidth = 2.7 * s;
   return problem;
@@ -63,10 +61,10 @@ SlotProblem value_trap(double s) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
   for (int i = 0; i < 4; ++i) {
-    problem.users.push_back(
+    problem.push_back(
         table_user({0.1 * s, 0.6 * s, 100, 200, 300, 400}, 1.0 * s, 2.0));
   }
-  problem.users.push_back(
+  problem.push_back(
       table_user({0.1 * s, 2.1 * s, 100, 200, 300, 400}, 3.0 * s, 3.0));
   problem.server_bandwidth = 2.5 * s;
   return problem;
@@ -127,7 +125,7 @@ int main() {
     for (int family = 0; family < 2; ++family) {
       const SlotProblem problem = family == 0 ? density_trap(s) : value_trap(s);
       const double base = evaluate(
-          problem, std::vector<QualityLevel>(problem.users.size(), 1));
+          problem, std::vector<QualityLevel>(problem.user_count(), 1));
       const double opt = brute.allocate(problem).objective - base;
       std::printf("  %-15s (x%4.0f)", family == 0 ? "density-trap" : "value-trap", s);
       for (auto* variant : variants) {

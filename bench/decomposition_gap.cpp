@@ -30,9 +30,9 @@ HorizonProblem random_horizon(std::uint64_t seed, std::size_t horizon,
       const content::CrfRateFunction f(14.2, 1.45, 1.0);
       // Time-varying per-user bandwidth makes the horizon coupling bite:
       // the optimum smooths quality across good and bad slots.
-      slot.users.push_back(UserSlotContext::from_rate_function(
+      slot.push_back(UserSlotContext::from_rate_function(
           f, rng.uniform(20.0, 100.0), 1.0, 0.0, 1.0));
-      total_min += slot.users.back().rate[0];
+      total_min += slot.rate_of(slot.user_count() - 1, 1);
     }
     slot.server_bandwidth = total_min * rng.uniform(1.5, 3.0);
     problem.slots.push_back(std::move(slot));

@@ -44,10 +44,10 @@ SlotProblem make_problem(std::size_t users, std::uint64_t seed = 99) {
   double total_min = 0.0;
   for (std::size_t n = 0; n < users; ++n) {
     const content::CrfRateFunction f(14.2, 1.45, rng.lognormal(0.0, 0.25));
-    problem.users.push_back(UserSlotContext::from_rate_function(
+    problem.push_back(UserSlotContext::from_rate_function(
         f, rng.uniform(20.0, 100.0), rng.uniform(0.6, 1.0),
         rng.uniform(0.0, 6.0), rng.uniform(1.0, 500.0)));
-    total_min += problem.users.back().rate[0];
+    total_min += problem.rate_of(problem.user_count() - 1, 1);
   }
   problem.server_bandwidth = 36.0 * static_cast<double>(users);
   return problem;

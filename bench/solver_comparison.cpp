@@ -27,7 +27,7 @@ SlotProblem random_problem(std::uint64_t seed, std::size_t users) {
   problem.params = QoeParams{0.02, 0.5};
   for (std::size_t n = 0; n < users; ++n) {
     const content::CrfRateFunction f(14.2, 1.45, rng.lognormal(0.0, 0.25));
-    problem.users.push_back(UserSlotContext::from_rate_function(
+    problem.push_back(UserSlotContext::from_rate_function(
         f, rng.uniform(20.0, 100.0), rng.uniform(0.6, 1.0),
         rng.uniform(0.0, 6.0), rng.uniform(1.0, 500.0)));
   }

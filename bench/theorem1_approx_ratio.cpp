@@ -26,10 +26,10 @@ SlotProblem random_problem(std::uint64_t seed, std::size_t users) {
   double total_min = 0.0;
   for (std::size_t n = 0; n < users; ++n) {
     const content::CrfRateFunction f(14.2, 1.45, rng.lognormal(0.0, 0.3));
-    problem.users.push_back(UserSlotContext::from_rate_function(
+    problem.push_back(UserSlotContext::from_rate_function(
         f, rng.uniform(20.0, 100.0), rng.uniform(0.5, 1.0),
         rng.uniform(0.0, 6.0), rng.uniform(1.0, 1000.0)));
-    total_min += problem.users.back().rate[0];
+    total_min += problem.rate_of(problem.user_count() - 1, 1);
   }
   problem.server_bandwidth = total_min * rng.uniform(1.0, 4.0);
   return problem;
@@ -37,7 +37,7 @@ SlotProblem random_problem(std::uint64_t seed, std::size_t users) {
 
 double base_value(const SlotProblem& problem) {
   return evaluate(problem,
-                  std::vector<QualityLevel>(problem.users.size(), 1));
+                  std::vector<QualityLevel>(problem.user_count(), 1));
 }
 
 }  // namespace

@@ -54,12 +54,12 @@ int main(int argc, char** argv) {
     core::SlotProblem problem;
     problem.params = params;
     problem.server_bandwidth = bandwidth;  // single user: B(t) = B_n(t)
-    problem.users.push_back(core::UserSlotContext::from_rate_function(
+    problem.push_back(core::UserSlotContext::from_rate_function(
         rate_function, bandwidth, /*delta=*/0.92, qoe.mean_viewed_quality(),
         static_cast<double>(t + 1)));
     const auto allocation = allocator.allocate(problem);
     const auto q = allocation.levels[0];
-    const double delay = problem.users[0].delay[q - 1];
+    const double delay = problem.delay_of(0, q);
     qoe.record(q, /*viewed=*/true, delay);
     if (t % (66 * 10) == 0) {  // print every 10 s
       std::printf("%8.1f %10.1f %7d %12.2f\n",

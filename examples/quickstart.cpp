@@ -35,7 +35,7 @@ int main() {
       {"carol (weak link)", 25.0, 0.75, 1.5},
   };
   for (const auto& spec : specs) {
-    problem.users.push_back(core::UserSlotContext::from_rate_function(
+    problem.push_back(core::UserSlotContext::from_rate_function(
         rate_function, spec.bandwidth, spec.delta, spec.qbar, /*slot=*/120.0));
   }
 
@@ -44,13 +44,13 @@ int main() {
 
   std::printf("server budget: %.0f Mbps\n\n", problem.server_bandwidth);
   double used = 0.0;
-  for (std::size_t n = 0; n < problem.users.size(); ++n) {
+  for (std::size_t n = 0; n < problem.user_count(); ++n) {
     const auto q = allocation.levels[n];
-    const double rate = problem.users[n].rate[q - 1];
+    const double rate = problem.rate_of(n, q);
     used += rate;
     std::printf("%-20s -> level %d (CRF %2d, %5.1f Mbps, est. delay %.2f ms)\n",
                 specs[n].name, q, content::crf_for_level(q), rate,
-                problem.users[n].delay[q - 1]);
+                problem.delay_of(n, q));
   }
   std::printf("\ntotal rate: %.1f / %.0f Mbps, objective sum h_n = %.3f\n",
               used, problem.server_bandwidth, allocation.objective);

@@ -8,25 +8,15 @@
 namespace cvr::core {
 
 namespace {
-/// True iff the user can be raised from q to q+1 without breaking its
+/// True iff user n can be raised from q to q+1 without breaking its
 /// own B_n — the heap's admission test for a candidate entry.
-bool raisable(const UserSlotContext& user, QualityLevel q) {
-  return q < kNumQualityLevels && user_feasible(user, q + 1);
+bool raisable(const SlotProblem& problem, std::size_t n, QualityLevel q) {
+  return q < kNumQualityLevels && user_feasible(problem, n, q + 1);
 }
 
-/// f(q+1) - f(q): the server rate of raising the user from q to q+1.
-double rate_step(const UserSlotContext& user, QualityLevel q) {
-  return user.rate[static_cast<std::size_t>(q)] -
-         user.rate[static_cast<std::size_t>(q - 1)];
-}
-
-/// Algorithm 1's start Q = {1,...,1}: writes all-ones into `q` and
-/// returns its server rate.
-double seed_all_ones(const SlotProblem& problem, std::vector<QualityLevel>& q) {
-  q.assign(problem.user_count(), 1);
-  double used_rate = 0.0;
-  for (const UserSlotContext& user : problem.users) used_rate += user.rate[0];
-  return used_rate;
+/// f(q+1) - f(q): the server rate of raising user n from q to q+1.
+double rate_step(const SlotProblem& problem, std::size_t n, QualityLevel q) {
+  return problem.rate_of(n, q + 1) - problem.rate_of(n, q);
 }
 }  // namespace
 
@@ -46,7 +36,8 @@ void DvGreedyAllocator::greedy_pass(const SlotProblem& problem, Rank rank,
                                     std::vector<QualityLevel>& q) {
   const std::size_t n_users = problem.user_count();
   const double limit = problem.server_bandwidth + kFeasibilityEpsilon;
-  double used_rate = seed_all_ones(problem, q);
+  q.assign(n_users, 1);
+  double used_rate = base_rate_;
 
   // The set I of Algorithm 1: users that may still be raised.
   in_set_.assign(n_users, 0);
@@ -75,9 +66,8 @@ void DvGreedyAllocator::greedy_pass(const SlotProblem& problem, Rank rank,
     // I is empty, or "if eta_{n*} < 0 then I = {}".
     if (best == n_users || best_score < 0.0) break;
 
-    const auto& user = problem.users[best];
-    const double next = used_rate + rate_step(user, q[best]);
-    if (!user_feasible(user, q[best] + 1) || next > limit) {
+    const double next = used_rate + rate_step(problem, best, q[best]);
+    if (!user_feasible(problem, best, q[best] + 1) || next > limit) {
       in_set_[best] = 0;
       continue;
     }
@@ -99,35 +89,44 @@ void DvGreedyAllocator::sift_down(HeapEntry* heap, std::size_t size,
   heap[hole] = entry;
 }
 
-void DvGreedyAllocator::greedy_pass_heap(const SlotProblem& problem, Rank rank,
-                                         std::vector<QualityLevel>& q) {
-  const std::size_t n_users = problem.user_count();
-  const double limit = problem.server_bandwidth + kFeasibilityEpsilon;
-  double used_rate = seed_all_ones(problem, q);
-
-  // Only users whose next level passes their own B_n (constraint (7))
-  // ever hold an entry. The scan picks any other user only to retire
-  // it, leaving the levels unchanged, or, at a negative score, to stop
-  // the pass — which the next entry in heap order, scoring no higher,
-  // does too (docs/performance.md, "The service slot at N ≈ 1400", has
-  // the full argument). Degrade-pinned and ramp-capped sessions sit at
+void DvGreedyAllocator::find_candidates(const SlotProblem& problem) {
+  // Only users whose level 2 passes their own B_n (constraint (7)) ever
+  // hold an entry. The scan picks any other user only to retire it,
+  // leaving the levels unchanged, or, at a negative score, to stop the
+  // pass — which the next entry in heap order, scoring no higher, does
+  // too (docs/performance.md, "The service slot at N ≈ 1400", has the
+  // full argument). Degrade-pinned and ramp-capped sessions sit at
   // B_n = f(cap), so at service scale most users never enter the heap.
   //
-  // min_inc is the smallest rate step, over all levels, of the users
-  // pushed here — the only users that ever hold an entry. A NaN step
-  // switches the budget cut-off below off: `used_rate + NaN > limit` is
-  // false, so the ascent would apply that step.
-  heap_.clear();
-  double min_inc = std::numeric_limits<double>::infinity();
+  // min_inc is the smallest rate step, over all levels, of those users
+  // — the only users that ever hold an entry. A NaN step switches the
+  // budget cut-off off: `used_rate + NaN > limit` is false, so the
+  // ascent would apply that step. Neither the candidates nor min_inc
+  // depends on the rank, so both passes share them.
+  const std::size_t n_users = problem.user_count();
+  candidates_.clear();
+  min_inc_ = std::numeric_limits<double>::infinity();
   for (std::size_t n = 0; n < n_users; ++n) {
-    const auto& user = problem.users[n];
-    if (!raisable(user, q[n])) continue;
-    heap_.push_back({rank_score(tables_[n], q[n], rank), n});
+    if (!raisable(problem, n, 1)) continue;
+    candidates_.push_back(n);
     for (QualityLevel l = 1; l < kNumQualityLevels; ++l) {
-      const double step = rate_step(user, l);
-      min_inc = std::isnan(step) ? -std::numeric_limits<double>::infinity()
-                                 : std::min(min_inc, step);
+      const double step = rate_step(problem, n, l);
+      min_inc_ = std::isnan(step) ? -std::numeric_limits<double>::infinity()
+                                  : std::min(min_inc_, step);
     }
+  }
+}
+
+void DvGreedyAllocator::greedy_pass_heap(const SlotProblem& problem, Rank rank,
+                                         std::vector<QualityLevel>& q) {
+  const double limit = problem.server_bandwidth + kFeasibilityEpsilon;
+  const double min_inc = min_inc_;
+  q.assign(problem.user_count(), 1);
+  double used_rate = base_rate_;
+
+  heap_.clear();
+  for (const std::size_t n : candidates_) {
+    heap_.push_back({rank_score(tables_[n], 1, rank), n});
   }
 
   // Every user holds at most one entry, always scored at its current
@@ -155,15 +154,14 @@ void DvGreedyAllocator::greedy_pass_heap(const SlotProblem& problem, Rank rank,
     // Constraint (7) for q+1 held when the entry was made; only the
     // server budget (6) can still reject the increment.
     const std::size_t n = top.user;
-    const auto& user = problem.users[n];
-    const double next = used_rate + rate_step(user, q[n]);
+    const double next = used_rate + rate_step(problem, n, q[n]);
     if (next > limit) {
       pop_root();  // retired: the user holds no entry any more
       continue;
     }
     used_rate = next;
     q[n] += 1;
-    if (raisable(user, q[n])) {
+    if (raisable(problem, n, q[n])) {
       sift_down(heap, size, 0, {rank_score(tables_[n], q[n], rank), n});
     } else {
       pop_root();
@@ -184,6 +182,13 @@ void DvGreedyAllocator::allocate_into(const SlotProblem& problem,
   if (problem.user_count() == 0) return;
 
   tables_.build(problem);
+  // Algorithm 1's start Q = {1,...,1} and its server rate, shared by
+  // both passes (summed in user order, as each pass did).
+  base_rate_ = 0.0;
+  for (std::size_t n = 0; n < problem.user_count(); ++n) {
+    base_rate_ += problem.rate[n];
+  }
+  if (strategy_ == Strategy::kHeap) find_candidates(problem);
   const auto run_pass = [&](Rank rank, std::vector<QualityLevel>& dst) {
     if (strategy_ == Strategy::kHeap) {
       greedy_pass_heap(problem, rank, dst);

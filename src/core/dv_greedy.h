@@ -111,6 +111,11 @@ class DvGreedyAllocator final : public Allocator {
   static void sift_down(HeapEntry* heap, std::size_t size, std::size_t hole,
                         HeapEntry entry);
 
+  /// The heap's per-slot inputs, shared by both passes: the users
+  /// raisable at level 1 (candidates_) and their smallest rate step
+  /// (min_inc_).
+  void find_candidates(const SlotProblem& problem);
+
   /// One greedy ascent over tables_; writes the resulting levels.
   void greedy_pass(const SlotProblem& problem, Rank rank,
                    std::vector<QualityLevel>& q);
@@ -128,6 +133,9 @@ class DvGreedyAllocator final : public Allocator {
   std::vector<QualityLevel> value_levels_;
   std::vector<unsigned char> in_set_;  ///< Scan: 1 while user is in I.
   std::vector<HeapEntry> heap_;
+  std::vector<std::size_t> candidates_;  ///< Heap: raisable at level 1.
+  double min_inc_ = 0.0;    ///< Heap: smallest rate step of candidates_.
+  double base_rate_ = 0.0;  ///< Server rate of the all-ones start.
 };
 
 }  // namespace cvr::core

@@ -26,7 +26,7 @@ void FireflyAllocator::allocate_into(const SlotProblem& problem,
   q.assign(n_users, 1);
   for (std::size_t n = 0; n < n_users; ++n) {
     for (QualityLevel level = kNumQualityLevels; level >= 1; --level) {
-      if (user_feasible(problem.users[n], level)) {
+      if (user_feasible(problem, n, level)) {
         q[n] = level;
         break;
       }
@@ -41,9 +41,7 @@ void FireflyAllocator::allocate_into(const SlotProblem& problem,
     for (auto it = lru_.begin(); it != lru_.end(); ++it) {
       const std::size_t n = *it;
       if (q[n] > 1) {
-        const auto& rates = problem.users[n].rate;
-        used -= rates[static_cast<std::size_t>(q[n] - 1)] -
-                rates[static_cast<std::size_t>(q[n] - 2)];
+        used -= problem.rate_of(n, q[n]) - problem.rate_of(n, q[n] - 1);
         q[n] -= 1;
         // Degraded user becomes most-recently-touched: pressure rotates.
         lru_.splice(lru_.end(), lru_, it);

@@ -23,7 +23,7 @@ double fractional_upper_bound(const SlotProblem& problem) {
     for (std::size_t n = 0; n < n_users; ++n) {
       if (!active[n]) continue;
       if (q[n] >= kNumQualityLevels ||
-          !user_feasible(problem.users[n], q[n] + 1)) {
+          !user_feasible(problem, n, q[n] + 1)) {
         active[n] = false;
         --active_count;
         continue;
@@ -36,10 +36,9 @@ double fractional_upper_bound(const SlotProblem& problem) {
     }
     if (best == n_users || best_density <= 0.0) break;
 
-    const auto& user = problem.users[best];
     const double dv = tables[best].increment(q[best]);
-    const double dr = user.rate[static_cast<std::size_t>(q[best])] -
-                      user.rate[static_cast<std::size_t>(q[best] - 1)];
+    const double dr =
+        problem.rate_of(best, q[best] + 1) - problem.rate_of(best, q[best]);
     if (dr <= remaining) {
       value += dv;
       remaining -= dr;

@@ -29,10 +29,8 @@ bool slot_feasible(const SlotProblem& slot,
                    const std::vector<QualityLevel>& levels) {
   double total = 0.0;
   for (std::size_t n = 0; n < levels.size(); ++n) {
-    if (levels[n] > 1 && !user_feasible(slot.users[n], levels[n])) {
-      return false;
-    }
-    total += slot.users[n].rate[static_cast<std::size_t>(levels[n] - 1)];
+    if (levels[n] > 1 && !user_feasible(slot, n, levels[n])) return false;
+    total += slot.rate_of(n, levels[n]);
   }
   bool all_ones = true;
   for (QualityLevel q : levels) {
@@ -62,8 +60,7 @@ double horizon_qoe(const HorizonProblem& problem,
         throw std::invalid_argument("horizon_qoe: trajectory width mismatch");
       }
       const QualityLevel q = trajectory[t][n];
-      acc.record(q, /*viewed=*/true,
-                 problem.slots[t].users[n].delay[static_cast<std::size_t>(q - 1)]);
+      acc.record(q, /*viewed=*/true, problem.slots[t].delay_of(n, q));
     }
     total += acc.average_qoe(problem.params) * static_cast<double>(horizon);
   }
@@ -137,16 +134,19 @@ double horizon_sequential(const HorizonProblem& problem,
   Allocation allocation;
   for (std::size_t t = 0; t < horizon; ++t) {
     slot = problem.slots[t];
+    // delta = 1 at every level, the exact running qbar, slot t + 1.
+    const double weight = welford_weight(static_cast<double>(t + 1));
     for (std::size_t n = 0; n < users; ++n) {
-      slot.users[n].delta = 1.0;
-      slot.users[n].qbar = accumulators[n].mean_viewed_quality();
-      slot.users[n].slot = static_cast<double>(t + 1);
+      for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
+        slot.success[slot.at(n, q)] = 1.0;
+      }
+      slot.qbar[n] = accumulators[n].mean_viewed_quality();
+      slot.weight[n] = weight;
     }
     allocator.allocate_into(slot, allocation);
     for (std::size_t n = 0; n < users; ++n) {
       const QualityLevel q = allocation.levels[n];
-      accumulators[n].record(
-          q, true, slot.users[n].delay[static_cast<std::size_t>(q - 1)]);
+      accumulators[n].record(q, true, slot.delay_of(n, q));
     }
   }
   double total = 0.0;

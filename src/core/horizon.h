@@ -26,9 +26,9 @@
 namespace cvr::core {
 
 /// The horizon problem: one SlotProblem per slot t = 1..T. Users must
-/// be consistent across slots (same count); the per-user `qbar`/`slot`
-/// fields are ignored (the evaluators maintain them), `delta` is forced
-/// to 1.
+/// be consistent across slots (same count); the `qbar` and `weight`
+/// lanes are ignored (the evaluators maintain them), and `success` is
+/// forced to 1 (delta = 1).
 struct HorizonProblem {
   std::vector<SlotProblem> slots;
   QoeParams params;

@@ -22,15 +22,16 @@
 // path (certified by the core.htable_matches_direct proptest property
 // and the existing differential oracles).
 //
-// Memory layout (see docs/vectorization.md): the per-user inputs are
-// first gathered from the AoS SlotProblem into a SlotProblemSoA —
-// level-major planes of `stride` doubles, `stride` = user count padded
-// to simd::kLanes — and the kernel then evaluates h for four users per
-// AVX2 instruction (scalar fallback element-for-element identical; see
-// src/core/simd.h for the dispatch rules). `HTable` survives as a thin
-// strided VIEW into the set's planes, so dv-greedy (scan and heap),
-// fractional, lagrangian and the exact solvers consume the table
-// exactly as before the SoA rework.
+// Memory layout (see docs/vectorization.md): the SlotProblem IS the
+// kernel input — level-major lane planes of `stride` doubles, `stride`
+// = user count padded to simd::kLanes, written by the producers
+// themselves, with no gather in between — and the kernel evaluates h
+// for four users per AVX2 instruction (scalar fallback
+// element-for-element identical; see src/core/simd.h for the dispatch
+// rules). The same pass checks that every rate step is positive.
+// `HTable` is a thin strided VIEW into the set's output planes, which
+// dv-greedy (scan and heap), fractional, lagrangian, the exact solvers
+// and PAVQ's objective read.
 #pragma once
 
 #include <cassert>
@@ -42,43 +43,6 @@
 #include "src/core/simd.h"
 
 namespace cvr::core {
-
-/// @brief Structure-of-arrays image of one slot's user contexts.
-///
-/// Each member is a plane (or a vector of level-major planes) of
-/// `stride` doubles, where `stride` is the user count rounded up to
-/// simd::kLanes. Lane `i` of plane `q-1` holds user `i`'s input for
-/// level `q`; pad lanes `[n, stride)` carry inert values (success 1,
-/// weight 0, strictly increasing rates) so the vector kernels can
-/// process full vectors without masking — pad outputs are well-defined
-/// finite numbers that nothing ever reads back.
-///
-/// `success` is the *effective* viewing probability
-/// `UserSlotContext::effective_delta(q)` — the one h input that varies
-/// per level — and `weight` is the Welford factor `(t-1)/t` (0 for the
-/// first slot), hoisted out of the per-level expression because it is
-/// level-invariant. Both are computed in gather() with exactly the
-/// arithmetic h_value_unchecked uses, preserving bit-identity.
-struct SlotProblemSoA {
-  std::size_t users = 0;   ///< Real user count n.
-  std::size_t stride = 0;  ///< n padded to simd::kLanes.
-  std::vector<double> success;  ///< [L][stride]: effective_delta(q).
-  std::vector<double> weight;   ///< [stride]: (t-1)/t, or 0 when t<=1.
-  std::vector<double> qbar;     ///< [stride]: running viewed-quality mean.
-  std::vector<double> rate;     ///< [L][stride]: f(q), Mbps.
-  std::vector<double> delay;    ///< [L][stride]: E[d(f(q))], ms.
-
-  /// @brief Sizes the planes for `problem`, writes the pad lanes and
-  /// gathers every user into its lane.
-  ///
-  /// Capacity is retained across calls (steady-state rebuilds perform
-  /// zero heap allocations once the user count stabilises — pinned by
-  /// the ZeroAllocation tests).
-  /// @throws std::out_of_range when a user's Section-VIII frame_loss
-  ///   table is shorter than the level it is asked for (the same throw
-  ///   effective_delta() performs on the direct path).
-  void gather(const SlotProblem& problem);
-};
 
 /// @brief One user's h-table for one slot: a thin strided view into
 /// the owning HTableSet's SoA planes.
@@ -138,10 +102,11 @@ class HTableSet {
  public:
   /// @brief Rebuilds every user's table from `problem`.
   ///
-  /// Gathers the SoA image, runs the h kernel selected by
-  /// simd::active_backend() (AVX2 when compiled in and the CPU has it,
-  /// scalar otherwise — bit-identical either way) over every lane,
-  /// derives increments and densities, then validates the rate planes.
+  /// Runs the h kernel selected by simd::active_backend() (AVX2 when
+  /// compiled in and the CPU has it, scalar otherwise — bit-identical
+  /// either way) over every lane of the problem's planes, deriving
+  /// increments and densities and, in the same pass, checking each rate
+  /// step.
   /// Every lane is recomputed on every build: the Welford weight
   /// (t-1)/t is an input of every lane and the slot index advances
   /// every slot, so no lane's inputs repeat (docs/performance.md).
@@ -149,14 +114,15 @@ class HTableSet {
   /// Error contract (validated-at-build): a rate table that is not
   /// strictly increasing throws std::logic_error *here*, once per
   /// slot — hoisting h_density's per-call throw out of the ascent
-  /// loops. After a successful build the accessors are assert-only;
+  /// loops. The kernels accumulate the ordered compare `dr <= 0` over
+  /// every lane as they divide by dr; pad lanes hold strictly
+  /// increasing rates (SlotProblem::resize), so only a real lane can
+  /// flag. After a successful build the accessors are assert-only;
   /// on throw the set's contents are unspecified until the next
   /// successful build().
   /// @throws std::logic_error on a non-increasing rate table (the
   ///   h_density contract; NaN rate steps are NOT flagged, matching
   ///   h_density's `dr <= 0` comparison exactly).
-  /// @throws std::out_of_range via SlotProblemSoA::gather on a short
-  ///   frame_loss table.
   void build(const SlotProblem& problem);
 
   /// @brief The view of user `n`'s table; valid until the next build().
@@ -175,11 +141,6 @@ class HTableSet {
   double evaluate(const std::vector<QualityLevel>& levels) const;
 
  private:
-  /// Throws std::logic_error on a non-increasing rate step of any
-  /// real (non-pad) lane.
-  void validate_rates() const;
-
-  SlotProblemSoA soa_;
   std::size_t users_ = 0;
   std::size_t stride_ = 0;
   std::vector<double> h_;          ///< [L][stride].
@@ -190,19 +151,22 @@ class HTableSet {
 namespace detail {
 
 /// The scalar h kernel: evaluates the h / increment / density planes
-/// for every lane [0, soa.stride), pad lanes included. One expression,
-/// one association order — the same sequence of IEEE operations the
-/// AVX2 kernel performs lane-parallel, and the same h_value_unchecked
-/// performs on the direct path.
-void build_htables_scalar(const SlotProblemSoA& soa, const QoeParams& params,
-                          double* h, double* increment, double* density);
+/// for every lane [0, problem.stride()), pad lanes included. One
+/// expression, one association order — the same sequence of IEEE
+/// operations the AVX2 kernel performs lane-parallel, and the same
+/// detail::h_lane performs on the direct path. Returns true when some
+/// lane has a rate step with `dr <= 0` (ordered: a NaN step is not
+/// flagged).
+bool build_htables_scalar(const SlotProblem& problem, double* h,
+                          double* increment, double* density);
 
 #if defined(CVR_HAVE_AVX2)
 /// The AVX2 h kernel (htable_avx2.cpp, compiled with -mavx2). The
 /// plane stride is padded to simd::kLanes, so full-vector loads and
-/// stores never leave the planes.
-void build_htables_avx2(const SlotProblemSoA& soa, const QoeParams& params,
-                        double* h, double* increment, double* density);
+/// stores never leave the planes. Same return value as the scalar
+/// kernel.
+bool build_htables_avx2(const SlotProblem& problem, double* h,
+                        double* increment, double* density);
 #endif
 
 }  // namespace detail

@@ -14,14 +14,13 @@ namespace {
 /// toward the *lower* level so that usage(lambda) is right-continuous
 /// and bisection lands on a feasible allocation. Reads h from the
 /// per-slot table instead of recomputing it per candidate lambda.
-QualityLevel best_level(const UserSlotContext& user, const HTable& table,
-                        double lambda) {
+QualityLevel best_level(const SlotProblem& problem, std::size_t n,
+                        const HTable& table, double lambda) {
   QualityLevel best_q = 1;
-  double best = table.value(1) - lambda * user.rate[0];
+  double best = table.value(1) - lambda * problem.rate_of(n, 1);
   for (QualityLevel q = 2; q <= kNumQualityLevels; ++q) {
-    if (!user_feasible(user, q)) break;  // rates increase with q
-    const double v =
-        table.value(q) - lambda * user.rate[static_cast<std::size_t>(q - 1)];
+    if (!user_feasible(problem, n, q)) break;  // rates increase with q
+    const double v = table.value(q) - lambda * problem.rate_of(n, q);
     if (v > best + 1e-12) {
       best = v;
       best_q = q;
@@ -33,9 +32,9 @@ QualityLevel best_level(const UserSlotContext& user, const HTable& table,
 double usage(const SlotProblem& problem, const HTableSet& tables,
              double lambda, std::vector<QualityLevel>& levels) {
   double total = 0.0;
-  for (std::size_t n = 0; n < problem.users.size(); ++n) {
-    levels[n] = best_level(problem.users[n], tables[n], lambda);
-    total += problem.users[n].rate[static_cast<std::size_t>(levels[n] - 1)];
+  for (std::size_t n = 0; n < problem.user_count(); ++n) {
+    levels[n] = best_level(problem, n, tables[n], lambda);
+    total += problem.rate_of(n, levels[n]);
   }
   return total;
 }
@@ -44,11 +43,9 @@ double usage(const SlotProblem& problem, const HTableSet& tables,
 /// every user sits at level 1.
 double lambda_ceiling(const SlotProblem& problem, const HTableSet& tables) {
   double ceiling = 0.0;
-  for (std::size_t n = 0; n < problem.users.size(); ++n) {
-    const auto& user = problem.users[n];
+  for (std::size_t n = 0; n < problem.user_count(); ++n) {
     for (QualityLevel q = 1; q < kNumQualityLevels; ++q) {
-      const double dr = user.rate[static_cast<std::size_t>(q)] -
-                        user.rate[static_cast<std::size_t>(q - 1)];
+      const double dr = problem.rate_of(n, q + 1) - problem.rate_of(n, q);
       if (dr <= 0.0) continue;
       ceiling = std::max(ceiling, std::abs(tables[n].increment(q)) / dr);
     }
@@ -113,10 +110,9 @@ Allocation LagrangianAllocator::allocate(const SlotProblem& problem) {
     std::size_t best = n_users;
     for (std::size_t n = 0; n < n_users; ++n) {
       if (feasible[n] >= kNumQualityLevels) continue;
-      if (!user_feasible(problem.users[n], feasible[n] + 1)) continue;
-      const double dr =
-          problem.users[n].rate[static_cast<std::size_t>(feasible[n])] -
-          problem.users[n].rate[static_cast<std::size_t>(feasible[n] - 1)];
+      if (!user_feasible(problem, n, feasible[n] + 1)) continue;
+      const double dr = problem.rate_of(n, feasible[n] + 1) -
+                        problem.rate_of(n, feasible[n]);
       if (used + dr > problem.server_bandwidth + kFeasibilityEpsilon) continue;
       const double density = tables[n].density(feasible[n]);
       if (density > best_density) {
@@ -125,9 +121,8 @@ Allocation LagrangianAllocator::allocate(const SlotProblem& problem) {
       }
     }
     if (best != n_users && best_density > 0.0) {
-      used += problem.users[best].rate[static_cast<std::size_t>(feasible[best])] -
-              problem.users[best]
-                  .rate[static_cast<std::size_t>(feasible[best] - 1)];
+      used += problem.rate_of(best, feasible[best] + 1) -
+              problem.rate_of(best, feasible[best]);
       feasible[best] += 1;
       improved = true;
     }
@@ -150,7 +145,7 @@ double lagrangian_dual_bound(const SlotProblem& problem, int iterations) {
   // admits the mandatory minimum — whose value is then the only
   // admissible outcome, hence also the bound.
   double min_rate = 0.0;
-  for (const auto& user : problem.users) min_rate += user.rate[0];
+  for (std::size_t n = 0; n < n_users; ++n) min_rate += problem.rate_of(n, 1);
   if (min_rate > problem.server_bandwidth + kFeasibilityEpsilon) {
     return tables.evaluate(std::vector<QualityLevel>(n_users, 1));
   }
@@ -158,13 +153,11 @@ double lagrangian_dual_bound(const SlotProblem& problem, int iterations) {
   auto dual = [&](double lambda) {
     double total = lambda * problem.server_bandwidth;
     for (std::size_t n = 0; n < n_users; ++n) {
-      const auto& user = problem.users[n];
       double best = -std::numeric_limits<double>::infinity();
       for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
-        if (q > 1 && !user_feasible(user, q)) break;
+        if (q > 1 && !user_feasible(problem, n, q)) break;
         best = std::max(best,
-                        tables[n].value(q) -
-                            lambda * user.rate[static_cast<std::size_t>(q - 1)]);
+                        tables[n].value(q) - lambda * problem.rate_of(n, q));
       }
       total += best;
     }

@@ -31,8 +31,8 @@ Tables build_tables(const SlotProblem& problem) {
   for (std::size_t n = 0; n < n_users; ++n) {
     for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
       t.h[n][q - 1] = htables[n].value(q);
-      t.rate[n][q - 1] = problem.users[n].rate[static_cast<std::size_t>(q - 1)];
-      if (q > 1 && user_feasible(problem.users[n], q)) t.max_level[n] = q;
+      t.rate[n][q - 1] = problem.rate_of(n, q);
+      if (q > 1 && user_feasible(problem, n, q)) t.max_level[n] = q;
     }
   }
   return t;

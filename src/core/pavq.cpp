@@ -4,7 +4,8 @@
 
 namespace cvr::core {
 
-double PavqAllocator::score(const UserSlotContext& user, QualityLevel q,
+double PavqAllocator::score(const SmoothedInputs& inputs, double weight,
+                            double qbar, QualityLevel q,
                             const QoeParams& params) {
   // PAVQ's mean-variability utility with the paper's delay modification
   // folded into mu_i^P as the user's *average measured delay*: the
@@ -14,33 +15,32 @@ double PavqAllocator::score(const UserSlotContext& user, QualityLevel q,
   // which is what Figs. 7/8 punish. delta is forced to 1 (PAVQ predates
   // FoV prediction).
   double mean_delay = 0.0;
-  for (double d : user.delay) mean_delay += d;
-  mean_delay /= static_cast<double>(user.delay.size());
-  const double t = user.slot;
-  const double weight = t > 1.0 ? (t - 1.0) / t : 0.0;
-  const double dq = static_cast<double>(q) - user.qbar;
+  for (double d : inputs.delay) mean_delay += d;
+  mean_delay /= static_cast<double>(inputs.delay.size());
+  const double dq = static_cast<double>(q) - qbar;
   return static_cast<double>(q) - params.alpha * mean_delay -
          params.beta * weight * dq * dq;
 }
 
-const UserSlotContext& PavqAllocator::smoothed_view(
-    std::size_t n, const UserSlotContext& user) {
+const PavqAllocator::SmoothedInputs& PavqAllocator::smooth(
+    const SlotProblem& problem, std::size_t n) {
   if (smoothed_.size() <= n) smoothed_.resize(n + 1);
   SmoothedInputs& s = smoothed_[n];
   if (!s.primed) {
-    s.bandwidth = user.user_bandwidth;
-    for (std::size_t i = 0; i < s.delay.size(); ++i) s.delay[i] = user.delay[i];
+    s.bandwidth = problem.user_bandwidth[n];
+    for (std::size_t i = 0; i < s.delay.size(); ++i) {
+      s.delay[i] = problem.delay_of(n, static_cast<QualityLevel>(i + 1));
+    }
     s.primed = true;
   } else {
-    s.bandwidth += smoothing_alpha_ * (user.user_bandwidth - s.bandwidth);
+    s.bandwidth += smoothing_alpha_ * (problem.user_bandwidth[n] - s.bandwidth);
     for (std::size_t i = 0; i < s.delay.size(); ++i) {
-      s.delay[i] += smoothing_alpha_ * (user.delay[i] - s.delay[i]);
+      s.delay[i] += smoothing_alpha_ *
+                    (problem.delay_of(n, static_cast<QualityLevel>(i + 1)) -
+                     s.delay[i]);
     }
   }
-  view_ = user;  // vector members recycle their capacity
-  view_.user_bandwidth = s.bandwidth;
-  view_.delay = s.delay;
-  return view_;
+  return s;
 }
 
 Allocation PavqAllocator::allocate(const SlotProblem& problem) {
@@ -58,13 +58,18 @@ void PavqAllocator::allocate_into(const SlotProblem& problem, Allocation& out) {
   // (evaluated on the long-run-average view of the network); the shared
   // constraint (6) is delegated to the dual price.
   for (std::size_t n = 0; n < n_users; ++n) {
-    const UserSlotContext& user = smoothed_view(n, problem.users[n]);
-    double best = score(user, 1, problem.params) - price_ * user.rate[0];
+    const SmoothedInputs& inputs = smooth(problem, n);
+    const double weight = problem.weight[n];
+    const double qbar = problem.qbar[n];
+    double best = score(inputs, weight, qbar, 1, problem.params) -
+                  price_ * problem.rate_of(n, 1);
     for (QualityLevel level = 2; level <= kNumQualityLevels; ++level) {
-      if (!user_feasible(user, level)) break;  // rates increase
-      const double s =
-          score(user, level, problem.params) -
-          price_ * user.rate[static_cast<std::size_t>(level - 1)];
+      // Constraint (7) on the smoothed B_n; rates increase.
+      if (problem.rate_of(n, level) > inputs.bandwidth + kFeasibilityEpsilon) {
+        break;
+      }
+      const double s = score(inputs, weight, qbar, level, problem.params) -
+                       price_ * problem.rate_of(n, level);
       if (s > best) {
         best = s;
         q[n] = level;

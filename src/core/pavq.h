@@ -53,8 +53,8 @@ class PavqAllocator final : public Allocator {
   Allocation allocate(const SlotProblem& problem) override;
 
   /// Allocation-free steady state: levels build directly into `out`,
-  /// the smoothed view recycles one member context, and the objective
-  /// is read from the per-slot HTable.
+  /// the smoothed inputs recycle their storage, and the objective is
+  /// evaluate()'s sum of h over the problem's lanes.
   void allocate_into(const SlotProblem& problem, Allocation& out) override;
 
   void reset() override {
@@ -65,27 +65,26 @@ class PavqAllocator final : public Allocator {
   double price() const { return price_; }
 
  private:
-  /// PAVQ's modified per-user score mu_n(q) (delta forced to 1).
-  static double score(const UserSlotContext& user, QualityLevel q,
-                      const QoeParams& params);
-
   struct SmoothedInputs {
     double bandwidth = 0.0;
     std::array<double, kNumQualityLevels> delay{};
     bool primed = false;
   };
 
-  /// Folds this slot's context into the long-run averages and returns a
-  /// context with the smoothed values substituted. The reference points
-  /// into recycled member storage — valid until the next call.
-  const UserSlotContext& smoothed_view(std::size_t n,
-                                       const UserSlotContext& user);
+  /// PAVQ's modified per-user score mu_n(q) (delta forced to 1), on the
+  /// smoothed delays and the lane's Welford weight and qbar.
+  static double score(const SmoothedInputs& inputs, double weight,
+                      double qbar, QualityLevel q, const QoeParams& params);
+
+  /// Folds user n's lane (B_n and delays) into its long-run averages
+  /// and returns them. The reference points into recycled member
+  /// storage — valid until the next call.
+  const SmoothedInputs& smooth(const SlotProblem& problem, std::size_t n);
 
   double kappa_;
   double smoothing_alpha_;
   double price_ = 0.0;
   std::vector<SmoothedInputs> smoothed_;
-  UserSlotContext view_;  // recycled output of smoothed_view()
 };
 
 }  // namespace cvr::core

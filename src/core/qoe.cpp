@@ -8,9 +8,7 @@ UserSlotContext UserSlotContext::from_rate_function(
     const content::RateFunction& f, double user_bandwidth, double delta,
     double qbar, double slot) {
   UserSlotContext ctx;
-  ctx.delta = delta;
-  ctx.qbar = qbar;
-  ctx.slot = slot;
+  ctx.set_history(delta, qbar, slot);
   ctx.user_bandwidth = user_bandwidth;
   for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
     const auto idx = static_cast<std::size_t>(q - 1);
@@ -19,15 +17,6 @@ UserSlotContext UserSlotContext::from_rate_function(
     ctx.delay[idx] = net::mm1_delay(r, user_bandwidth);
   }
   return ctx;
-}
-
-double UserSlotContext::effective_delta(QualityLevel q) const {
-  if (frame_loss.empty()) return delta;
-  const auto idx = static_cast<std::size_t>(q - 1);
-  if (idx >= frame_loss.size()) {
-    throw std::out_of_range("effective_delta: frame_loss table too short");
-  }
-  return delta * (1.0 - frame_loss[idx]);
 }
 
 double h_value(const UserSlotContext& user, QualityLevel q,

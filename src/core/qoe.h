@@ -48,34 +48,43 @@ struct QoeParams {
   double beta = 0.5;
 };
 
-/// Everything the per-slot problem knows about one user.
+/// The Welford factor (t-1)/t of slot t (1-based), 0 for the first
+/// slot: the level-invariant weight of h_n's variance term.
+inline double welford_weight(double t) { return t > 1.0 ? (t - 1.0) / t : 0.0; }
+
+/// Everything the per-slot problem knows about one user: exactly the
+/// values one lane of a SlotProblem holds (src/core/allocator.h), so a
+/// context round-trips through SlotProblem::set_user / user() bit for
+/// bit.
 ///
-/// The rate/delay tables are fixed-size arrays: the level count is a
-/// compile-time constant of the content model, so a complete table is a
-/// structural invariant — no per-call size validation is needed (or
-/// possible) on the hot path, and a context is a flat, allocation-free
-/// value that a SlotArena can recycle slot after slot.
+/// The tables are fixed-size arrays: the level count is a compile-time
+/// constant of the content model, so a complete table is a structural
+/// invariant — no per-call size validation is needed (or possible) on
+/// the hot path, and a context is a flat, allocation-free value.
 struct UserSlotContext {
-  double delta = 1.0;       ///< Estimated prediction-success probability.
+  /// Probability the level-q content is viewed, index q-1: the
+  /// prediction-success probability delta at every level, or, in the
+  /// Section-VIII loss-aware mode, delta * (1 - frame_loss(q)) —
+  /// content is seen iff the prediction covers the FoV AND every packet
+  /// of the frame arrives.
+  std::array<double, kNumQualityLevels> success{1.0, 1.0, 1.0,
+                                                1.0, 1.0, 1.0};
+  /// welford_weight(t) of the current slot t; 0 for the first slot.
+  double weight = 0.0;
   double qbar = 0.0;        ///< Running mean of viewed quality, qbar_n(t-1).
-  double slot = 1.0;        ///< Current slot t (1-based) in the horizon.
   double user_bandwidth = 0.0;  ///< B_n(t), Mbps.
   /// f_{c(t)}^R(q) per level, index q-1.
   std::array<double, kNumQualityLevels> rate{};
   /// E[d_n(f(q))] per level, index q-1.
   std::array<double, kNumQualityLevels> delay{};
-  /// Optional (Section VIII extension): estimated probability that the
-  /// level-q frame is *undecodable* due to RTP packet loss, index q-1.
-  /// Empty means "loss-oblivious" — the paper's published formulation.
-  /// When present, the success probability in h_n becomes
-  /// delta * (1 - frame_loss[q-1]): content is seen iff the prediction
-  /// covers the FoV AND every packet of the frame arrives.
-  std::vector<double> frame_loss;
 
-  /// delta * (1 - frame_loss[q-1]) — the effective probability the
-  /// level-q content is successfully viewed. Equals delta when no loss
-  /// information is attached.
-  double effective_delta(QualityLevel q) const;
+  /// Sets the per-user history inputs of h_n: success = delta at every
+  /// level (the loss-oblivious form), qbar, and the weight of slot t.
+  void set_history(double delta, double qbar_in, double slot) {
+    success.fill(delta);
+    qbar = qbar_in;
+    weight = welford_weight(slot);
+  }
 
   /// Builds the rate/delay tables from a rate function and B_n using the
   /// analytic M/M/1 delay (the Section IV setting where the server has
@@ -85,27 +94,31 @@ struct UserSlotContext {
                                             double delta, double qbar,
                                             double slot);
 };
+static_assert(kNumQualityLevels == 6,
+              "UserSlotContext::success lists one 1.0 per level");
 
 namespace detail {
 
-/// The exact arithmetic of h_n(q) with no argument validation. Shared
-/// by h_value() and the HTableSet build kernels so the precomputed
-/// table is
-/// bit-identical to the direct path *by construction* — both evaluate
-/// this one expression, in this one association order.
-/// Precondition (asserted by callers): is_valid_level(q).
+/// The exact arithmetic of h_n(q) from one lane's inputs: success s,
+/// weight w, qbar qb and delay d at level q. Shared by h_value(), the
+/// lane readers and the HTableSet build kernels (which spell out the
+/// same operations lane-parallel), so the precomputed table is
+/// bit-identical to the direct path *by construction* — every path
+/// evaluates this one expression, in this one association order.
+inline double h_lane(double s, double w, double qb, double q, double d,
+                     const QoeParams& params) {
+  const double dq = q - qb;
+  const double variance_term = s * w * dq * dq + (1.0 - s) * w * qb * qb;
+  return s * q - params.alpha * d - params.beta * variance_term;
+}
+
+/// h_lane() on a context. Precondition (asserted by callers):
+/// is_valid_level(q).
 inline double h_value_unchecked(const UserSlotContext& user, QualityLevel q,
                                 const QoeParams& params) {
   const auto idx = static_cast<std::size_t>(q - 1);
-  const double success = user.effective_delta(q);
-  const double t = user.slot;
-  const double weight = t > 1.0 ? (t - 1.0) / t : 0.0;
-  const double dq = static_cast<double>(q) - user.qbar;
-  const double variance_term =
-      success * weight * dq * dq +
-      (1.0 - success) * weight * user.qbar * user.qbar;
-  return success * static_cast<double>(q) - params.alpha * user.delay[idx] -
-         params.beta * variance_term;
+  return h_lane(user.success[idx], user.weight, user.qbar,
+                static_cast<double>(q), user.delay[idx], params);
 }
 
 }  // namespace detail

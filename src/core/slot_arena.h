@@ -2,12 +2,12 @@
 //
 // The sim loops (sim::TraceSimulation, system::SystemSim, the horizon
 // solvers, system::LoadServer, fleet::FleetSim) build one SlotProblem
-// per 15 ms slot. Constructing it fresh each slot heap-allocates the
-// users vector every time; the arena keeps one SlotProblem alive and
-// hands it back each slot with its capacity retained, so steady-state
-// slot construction performs zero heap allocations (UserSlotContext
-// itself is a flat value — fixed arrays, no owned heap memory except
-// the optional frame_loss vector, whose capacity is likewise recycled).
+// per 15 ms slot. Constructing it fresh each slot heap-allocates its
+// lane planes every time; the arena keeps one SlotProblem alive and
+// hands it back each slot with the planes' capacity retained, so
+// steady-state slot construction performs zero heap allocations. The
+// producers then write each user's lane straight into those planes —
+// the same planes the h-table kernels read.
 #pragma once
 
 #include <cstddef>
@@ -23,15 +23,17 @@ namespace cvr::core {
 ///     slot calls acquire(users) and fills the entries it was given.
 ///  2. The reference returned by acquire() is valid until the NEXT
 ///     acquire() call or the arena's destruction — never store it (or
-///     pointers/iterators into its users vector) across slots. The
-///     same rule applies transitively to anything viewing the problem,
-///     e.g. the HTable views an allocator built from it.
-///  3. acquire() resizes the users vector and resets the scalar
-///     fields; every user entry must be overwritten by the caller
-///     (assignment from from_rate_function() or field-wise fills) —
-///     entries surviving a same-size resize keep LAST slot's values
-///     until then. Forgetting a field means silently replaying stale
-///     state, which is why the equivalence test fills field-wise.
+///     pointers into its planes) across slots. The same rule applies
+///     transitively to anything viewing the problem, e.g. the HTable
+///     views an allocator built from it.
+///  3. acquire() resizes the planes (SlotProblem::resize, which also
+///     rewrites the pad lanes) and resets the scalar fields; every
+///     real lane of every plane must be overwritten by the caller
+///     (set_user() or direct plane writes) — lanes surviving a
+///     same-size resize keep LAST slot's values until then, and a
+///     stride change leaves them unspecified. Forgetting a plane means
+///     silently replaying stale state, which is why the equivalence
+///     test fills plane by plane.
 ///  4. A problem built in an arena is equivalent to a freshly
 ///     constructed SlotProblem with the same fills, and steady-state
 ///     reuse performs zero heap allocations — both pinned by
@@ -50,7 +52,7 @@ class SlotArena {
   /// capacity, so a fluctuating population settles into the
   /// allocation-free steady state sized by its high-water mark.
   SlotProblem& acquire(std::size_t users) {
-    problem_.users.resize(users);
+    problem_.resize(users);
     problem_.server_bandwidth = 0.0;
     problem_.params = QoeParams{};
     return problem_;

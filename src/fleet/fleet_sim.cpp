@@ -383,9 +383,7 @@ FleetRunResult FleetSim::run(core::Allocator& allocator, std::size_t repeat,
         const core::SlotProblem& problem = edge.arena.problem();
         double allocated = 0.0;
         for (std::size_t i = 0; i < edge.members.size(); ++i) {
-          const auto level = edge.allocation.levels[i];
-          allocated +=
-              problem.users[i].rate[static_cast<std::size_t>(level - 1)];
+          allocated += problem.rate_of(i, edge.allocation.levels[i]);
         }
         util_sum[k] += allocated / edge.budget;
         util_slots[k] += 1;

@@ -24,9 +24,9 @@ double quantize_up(double value, double grid) {
 /// produce (concave rate curves, non-monotone delays).
 UserSlotContext gen_table_user(cvr::Rng& rng) {
   UserSlotContext user;
-  user.delta = rng.uniform(0.3, 1.0);
-  user.qbar = rng.uniform(0.0, 6.0);
-  user.slot = std::floor(rng.uniform(1.0, 500.0));
+  const double delta = rng.uniform(0.3, 1.0);
+  const double qbar = rng.uniform(0.0, 6.0);
+  user.set_history(delta, qbar, std::floor(rng.uniform(1.0, 500.0)));
   double rate = rng.uniform(1.0, 20.0);
   for (int q = 0; q < content::kNumQualityLevels; ++q) {
     const auto i = static_cast<std::size_t>(q);
@@ -62,7 +62,9 @@ void quantize_user(UserSlotContext& user) {
 
 double min_rate_sum(const SlotProblem& problem) {
   double total = 0.0;
-  for (const auto& user : problem.users) total += user.rate[0];
+  for (std::size_t n = 0; n < problem.user_count(); ++n) {
+    total += problem.rate_of(n, 1);
+  }
   return total;
 }
 
@@ -125,8 +127,8 @@ core::SlotProblem gen_slot_problem(cvr::Rng& rng,
   for (std::size_t n = 0; n < users; ++n) {
     if (n > 0 && rng.bernoulli(config.duplicate_user_probability)) {
       // Byte-identical copy: exact score ties at every level.
-      problem.users.push_back(problem.users[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))]);
+      problem.push_back(problem.user(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))));
       continue;
     }
     UserSlotContext user = config.analytic_tables_only || rng.bernoulli(0.5)
@@ -149,18 +151,21 @@ core::SlotProblem gen_slot_problem(cvr::Rng& rng,
       }
     }
     if (rng.bernoulli(config.loss_aware_probability)) {
-      user.frame_loss.resize(content::kNumQualityLevels);
-      for (double& loss : user.frame_loss) loss = rng.uniform(0.0, 0.7);
+      // Section-VIII frame loss: success = delta * (1 - loss) per level.
+      for (double& success : user.success) {
+        success *= 1.0 - rng.uniform(0.0, 0.7);
+      }
     }
-    problem.users.push_back(std::move(user));
+    problem.push_back(user);
   }
 
-  if (quantize && rng.bernoulli(0.3) && !problem.users.empty()) {
+  if (quantize && rng.bernoulli(0.3) && problem.user_count() > 0) {
     // Boundary instance: the budget is EXACTLY the rate of a random
     // allocation, so feasibility decisions sit on the epsilon edge.
     double exact = 0.0;
-    for (const auto& user : problem.users) {
-      exact += user.rate[static_cast<std::size_t>(rng.uniform_int(0, 5))];
+    for (std::size_t n = 0; n < problem.user_count(); ++n) {
+      exact += problem.rate_of(
+          n, static_cast<core::QualityLevel>(rng.uniform_int(0, 5) + 1));
     }
     problem.server_bandwidth = exact;
   } else {
@@ -171,13 +176,15 @@ core::SlotProblem gen_slot_problem(cvr::Rng& rng,
 
   // Guarded and drawn last, like the extreme-rate knob above: configs
   // without it replay their seeds byte-identically.
-  if (config.unbounded_user_probability > 0.0 && !problem.users.empty() &&
+  if (config.unbounded_user_probability > 0.0 && problem.user_count() > 0 &&
       rng.bernoulli(config.unbounded_user_probability)) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    problem.users[0].rate.fill(kInf);
-    problem.users[0].user_bandwidth = kInf;
-    for (std::size_t n = 1; n < problem.users.size(); ++n) {
-      problem.users[n].user_bandwidth = problem.users[n].rate[0];
+    for (core::QualityLevel q = 1; q <= content::kNumQualityLevels; ++q) {
+      problem.rate[problem.at(0, q)] = kInf;
+    }
+    problem.user_bandwidth[0] = kInf;
+    for (std::size_t n = 1; n < problem.user_count(); ++n) {
+      problem.user_bandwidth[n] = problem.rate_of(n, 1);
     }
   }
   return problem;
@@ -190,35 +197,35 @@ Gen<core::SlotProblem> slot_problems(SlotProblemGenConfig config) {
 std::vector<core::SlotProblem> ShrinkTraits<core::SlotProblem>::candidates(
     const core::SlotProblem& problem) {
   std::vector<SlotProblem> out;
-  const std::size_t n_users = problem.users.size();
+  const std::size_t n_users = problem.user_count();
 
   // Drop each user.
   for (std::size_t i = 0; i < n_users; ++i) {
     SlotProblem smaller = problem;
-    smaller.users.erase(smaller.users.begin() +
-                        static_cast<std::ptrdiff_t>(i));
+    smaller.erase(i);
     out.push_back(std::move(smaller));
   }
 
-  // Simplify each user's history state (delta/qbar/slot/frame_loss).
+  // Simplify each user's history state (success/qbar/weight): delta 1,
+  // no frame loss, first slot.
   for (std::size_t i = 0; i < n_users; ++i) {
-    const UserSlotContext& user = problem.users[i];
-    if (user.delta != 1.0 || user.qbar != 0.0 || user.slot != 1.0 ||
-        !user.frame_loss.empty()) {
+    UserSlotContext user = problem.user(i);
+    const bool all_seen =
+        std::all_of(user.success.begin(), user.success.end(),
+                    [](double s) { return s == 1.0; });
+    if (!all_seen || user.qbar != 0.0 || user.weight != 0.0) {
+      user.set_history(1.0, 0.0, 1.0);
       SlotProblem simpler = problem;
-      simpler.users[i].delta = 1.0;
-      simpler.users[i].qbar = 0.0;
-      simpler.users[i].slot = 1.0;
-      simpler.users[i].frame_loss.clear();
+      simpler.set_user(i, user);
       out.push_back(std::move(simpler));
     }
   }
 
   // Lower each user's level ceiling to the mandatory minimum.
   for (std::size_t i = 0; i < n_users; ++i) {
-    if (problem.users[i].user_bandwidth > problem.users[i].rate[0]) {
+    if (problem.user_bandwidth[i] > problem.rate_of(i, 1)) {
       SlotProblem capped = problem;
-      capped.users[i].user_bandwidth = capped.users[i].rate[0];
+      capped.user_bandwidth[i] = capped.rate_of(i, 1);
       out.push_back(std::move(capped));
     }
   }
@@ -253,20 +260,17 @@ std::string FixtureTraits<core::SlotProblem>::show(
          show_double(problem.params.beta) + "};\n";
   out += "problem.server_bandwidth = " +
          show_double(problem.server_bandwidth) + ";\n";
-  for (const auto& user : problem.users) {
+  for (std::size_t n = 0; n < problem.user_count(); ++n) {
+    const UserSlotContext user = problem.user(n);
     out += "{\n  core::UserSlotContext user;\n";
-    out += "  user.delta = " + show_double(user.delta) + ";\n";
+    out += "  user.success = " + show_double_list(user.success) + ";\n";
+    out += "  user.weight = " + show_double(user.weight) + ";\n";
     out += "  user.qbar = " + show_double(user.qbar) + ";\n";
-    out += "  user.slot = " + show_double(user.slot) + ";\n";
     out += "  user.user_bandwidth = " + show_double(user.user_bandwidth) +
            ";\n";
     out += "  user.rate = " + show_double_list(user.rate) + ";\n";
     out += "  user.delay = " + show_double_list(user.delay) + ";\n";
-    if (!user.frame_loss.empty()) {
-      out += "  user.frame_loss = " + show_double_list(user.frame_loss) +
-             ";\n";
-    }
-    out += "  problem.users.push_back(user);\n}\n";
+    out += "  problem.push_back(user);\n}\n";
   }
   return out;
 }

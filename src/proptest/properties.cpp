@@ -51,7 +51,7 @@ std::string show_levels(const std::vector<QualityLevel>& levels) {
 
 double base_value(const SlotProblem& problem) {
   return core::evaluate(problem,
-                        std::vector<QualityLevel>(problem.users.size(), 1));
+                        std::vector<QualityLevel>(problem.user_count(), 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -223,27 +223,31 @@ CheckResult check_htable_rebuild_matches_fresh(const SlotProblem& base) {
   if (!r.ok) return r;
   const std::size_t n_users = problem.user_count();
   if (n_users >= 2) {
-    problem.users[0] = problem.users[n_users / 2];  // one user changed
+    problem.set_user(0, problem.user(n_users / 2));  // one user changed
     r = compare("one-user copy");
     if (!r.ok) return r;
-    std::swap(problem.users[0], problem.users[n_users - 1]);  // churn
+    const core::UserSlotContext first = problem.user(0);  // churn
+    problem.set_user(0, problem.user(n_users - 1));
+    problem.set_user(n_users - 1, first);
     r = compare("user swap");
     if (!r.ok) return r;
   }
-  problem.users[0].qbar += 0.25;
+  problem.qbar[0] += 0.25;
   r = compare("qbar drift");
   if (!r.ok) return r;
-  problem.users.push_back(problem.users[0]);  // count change
+  problem.push_back(problem.user(0));  // count change
   r = compare("user added");
   if (!r.ok) return r;
-  problem.users.pop_back();
+  problem.erase(problem.user_count() - 1);
   r = compare("user removed");
   if (!r.ok) return r;
   problem.params.alpha = problem.params.alpha * 0.5 + 0.001;
   r = compare("alpha change");
   if (!r.ok) return r;
-  problem.users.back().delta =
-      std::min(1.0, problem.users.back().delta * 0.5 + 0.1);
+  for (QualityLevel q = 1; q <= core::kNumQualityLevels; ++q) {
+    double& success = problem.success[problem.at(n_users - 1, q)];
+    success = std::min(1.0, success * 0.5 + 0.1);
+  }
   return compare("delta drift after params change");
 }
 
@@ -264,7 +268,7 @@ CheckResult check_htable_matches_direct(const SlotProblem& problem) {
     const std::string tag =
         std::string(" [") + core::simd::backend_name(backend) + "]";
     for (std::size_t n = 0; n < problem.user_count(); ++n) {
-      const auto& user = problem.users[n];
+      const core::UserSlotContext user = problem.user(n);
       for (QualityLevel q = 1; q <= core::kNumQualityLevels; ++q) {
         const double direct = core::h_value(user, q, problem.params);
         if (bits(tables[n].value(q)) != bits(direct)) {
@@ -357,7 +361,7 @@ CheckResult check_allocation_feasible(const SlotProblem& problem) {
          {Mode::kDensityOnly, Mode::kValueOnly, Mode::kCombined}) {
       DvGreedyAllocator allocator(mode, strategy);
       const Allocation allocation = allocator.allocate(problem);
-      if (allocation.levels.size() != problem.users.size()) {
+      if (allocation.levels.size() != problem.user_count()) {
         return fail("wrong level count: " +
                     std::to_string(allocation.levels.size()));
       }
@@ -408,8 +412,8 @@ CheckResult check_combined_best_of_passes(const SlotProblem& problem) {
 /// The published (loss-oblivious, analytic-table) model always yields
 /// discretely concave h_n — the assumption behind Theorem 1.
 CheckResult check_h_concave(const SlotProblem& problem) {
-  for (std::size_t n = 0; n < problem.users.size(); ++n) {
-    if (!core::h_is_concave(problem.users[n], problem.params)) {
+  for (std::size_t n = 0; n < problem.user_count(); ++n) {
+    if (!core::h_is_concave(problem.user(n), problem.params)) {
       return fail("user " + std::to_string(n) +
                   " has non-concave h under the published model");
     }

@@ -175,9 +175,9 @@ std::vector<UserOutcome> TraceSimulation::run(
         const content::CrfRateFunction f(
             base_f.base_mbps(), base_f.growth(),
             base_f.scale() * margin_scale * hevc_mult);
-        problem.users[u] = core::UserSlotContext::from_rate_function(
+        problem.set_user(u, core::UserSlotContext::from_rate_function(
             f, b_n, user.accuracy.estimate(), user.qoe.mean_viewed_quality(),
-            static_cast<double>(t + 1));
+            static_cast<double>(t + 1)));
       }
     }
 
@@ -199,20 +199,19 @@ std::vector<UserOutcome> TraceSimulation::run(
       for (std::size_t u = 0; u < n_users; ++u) {
         UserState& user = users[u];
         const core::QualityLevel q = allocation.levels[u];
-        const double delay =
-            problem.users[u].delay[static_cast<std::size_t>(q - 1)];
+        const double delay = problem.delay_of(u, q);
         if (log != nullptr) {
           TraceSlotRecord record;
           record.slot = t;
           record.user = u;
           record.level = q;
-          record.bandwidth_mbps = problem.users[u].user_bandwidth;
-          record.rate_mbps =
-              problem.users[u].rate[static_cast<std::size_t>(q - 1)];
+          record.bandwidth_mbps = problem.user_bandwidth[u];
+          record.rate_mbps = problem.rate_of(u, q);
           record.delay_ms = delay;
           record.hit = hit[u];
-          record.delta_estimate = problem.users[u].delta;
-          record.qbar = problem.users[u].qbar;
+          // Loss-oblivious: the success lane is delta at every level.
+          record.delta_estimate = problem.success[problem.at(u, 1)];
+          record.qbar = problem.qbar[u];
           log->push_back(record);
         }
         user.qoe.record(q, hit[u], delay);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 
@@ -14,23 +15,53 @@
 
 namespace cvr::system {
 
-namespace {
-
-// p-th quantile of an unsorted sample set (nearest-rank), selected in
-// place: reorders `samples`. Returns the value a full sort would put at
-// that rank, so the result is deterministic; 0 on an empty set.
-double quantile(std::vector<double>& samples, double p) {
-  if (samples.empty()) return 0.0;
-  const double rank = p * static_cast<double>(samples.size());
+std::size_t NearestRankTail::rank_index(std::size_t n) {
+  const double rank = kP * static_cast<double>(n);
   std::size_t index = static_cast<std::size_t>(std::ceil(rank));
   index = index == 0 ? 0 : index - 1;
-  if (index >= samples.size()) index = samples.size() - 1;
-  const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(index);
-  std::nth_element(samples.begin(), nth, samples.end());
-  return *nth;
+  if (n > 0 && index >= n) index = n - 1;
+  return index;
 }
 
-}  // namespace
+std::size_t NearestRankTail::tail_size(std::size_t bound) {
+  return bound - rank_index(bound);
+}
+
+NearestRankTail::NearestRankTail(std::size_t bound)
+    : bound_(bound), capacity_(tail_size(bound)) {
+  tail_.reserve(capacity_);
+}
+
+void NearestRankTail::add(double sample) {
+  ++count_;
+  if (tail_.size() < capacity_) {
+    tail_.push_back(sample);
+    std::push_heap(tail_.begin(), tail_.end(), std::greater<>());
+  } else if (capacity_ > 0 && sample > tail_.front()) {
+    // Replace the smallest kept sample; an equal sample changes no
+    // value the tail can report, so it is dropped.
+    std::pop_heap(tail_.begin(), tail_.end(), std::greater<>());
+    tail_.back() = sample;
+    std::push_heap(tail_.begin(), tail_.end(), std::greater<>());
+  }
+}
+
+double NearestRankTail::quantile() const {
+  if (count_ == 0) return 0.0;
+  if (count_ > bound_) {
+    throw std::logic_error("NearestRankTail: more samples than its bound");
+  }
+  // The nearest-rank sample is the `from_top`-th largest; the tail keeps
+  // the tail_size(bound) >= from_top largest samples.
+  const std::size_t from_top = count_ - rank_index(count_);
+  if (from_top > tail_.size()) {
+    throw std::logic_error("NearestRankTail: the tail lost the p99 sample");
+  }
+  std::vector<double> kept(tail_);
+  const auto nth = kept.begin() + static_cast<std::ptrdiff_t>(from_top - 1);
+  std::nth_element(kept.begin(), nth, kept.end(), std::greater<>());
+  return *nth;
+}
 
 LoadServer::LoadServer(LoadServiceConfig config) : config_(std::move(config)) {
   if (config_.capacity_users == 0) {
@@ -139,7 +170,12 @@ LoadServiceReport LoadServer::run(std::size_t slots,
   core::SlotArena arena;
   core::Allocation allocation;
   std::vector<double> demand;
-  std::vector<double> delay_samples;
+  // In-window samples come from at most capacity_users sessions in each
+  // post-warm-up arrival slot, which bounds the p99's tail.
+  NearestRankTail delay_tail(
+      slots > config_.warmup_slots
+          ? config_.capacity_users * (slots - config_.warmup_slots)
+          : 0);
 
   LoadServiceReport report;
   report.horizon_slots = slots;
@@ -237,24 +273,27 @@ LoadServiceReport LoadServer::run(std::size_t slots,
       core::SlotProblem& problem = arena.acquire(active.size());
       problem.server_bandwidth = budget;
       problem.params = config_.params;
+      const std::size_t stride = problem.stride();
       for (std::size_t i = 0; i < active.size(); ++i) {
         const Session& s = active[i];
-        // Every field is overwritten (the SlotArena recycling rule).
-        core::UserSlotContext& user = problem.users[i];
-        user.delta = s.delta;
-        user.qbar = s.qoe.mean_viewed_quality();
-        user.slot = static_cast<double>(s.age_slots + 1);
-        user.user_bandwidth = s.user_bandwidth;
-        user.rate = s.rate;
-        user.delay = s.delay;
-        user.frame_loss.clear();
+        // Every lane of every plane is overwritten (the SlotArena
+        // recycling rule).
+        problem.weight[i] =
+            core::welford_weight(static_cast<double>(s.age_slots + 1));
+        problem.qbar[i] = s.qoe.mean_viewed_quality();
         // Ramp / degrade cap through the constraint-(7) clamp: with B_n
         // held at f(cap), no allocator can select a level above the cap.
         // The delay table was built from the true B_n at admission, so
         // capped levels keep their honest delay entries.
         const std::size_t cap = level_cap(s);
-        if (cap < static_cast<std::size_t>(content::kNumQualityLevels)) {
-          user.user_bandwidth = std::min(user.user_bandwidth, s.rate[cap - 1]);
+        problem.user_bandwidth[i] =
+            cap < static_cast<std::size_t>(content::kNumQualityLevels)
+                ? std::min(s.user_bandwidth, s.rate[cap - 1])
+                : s.user_bandwidth;
+        for (std::size_t l = 0; l < s.rate.size(); ++l) {
+          problem.success[l * stride + i] = s.delta;
+          problem.rate[l * stride + i] = s.rate[l];
+          problem.delay[l * stride + i] = s.delay[l];
         }
       }
     }
@@ -289,7 +328,7 @@ LoadServiceReport LoadServer::run(std::size_t slots,
       const double delay_ms = net::mm1_delay(demand[i], capacity);
       const bool miss = delay_ms > s.qos_ms;
       if (in_window) {
-        delay_samples.push_back(delay_ms);
+        delay_tail.add(delay_ms);
         delay_sum += delay_ms;
         if (miss) {
           ++report.deadline_misses;
@@ -395,11 +434,11 @@ LoadServiceReport LoadServer::run(std::size_t slots,
         active_sum / static_cast<double>(window_slots);
     report.mean_queue_depth = queue_sum / static_cast<double>(window_slots);
   }
-  report.delay_samples = delay_samples.size();
-  if (!delay_samples.empty()) {
+  report.delay_samples = delay_tail.count();
+  if (report.delay_samples > 0) {
     report.mean_delay_ms =
-        delay_sum / static_cast<double>(delay_samples.size());
-    report.p99_delay_ms = quantile(delay_samples, 0.99);
+        delay_sum / static_cast<double>(report.delay_samples);
+    report.p99_delay_ms = delay_tail.quantile();
   }
   report.slo_met = report.p99_delay_ms <= config_.slo_p99_ms;
   report.sustained_users = report.slo_met ? report.mean_active_users : 0.0;

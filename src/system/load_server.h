@@ -140,6 +140,42 @@ struct LoadServiceReport {
   std::uint64_t completed_sessions = 0;
 };
 
+/// @brief The nearest-rank p99 of a stream of at most `bound` samples,
+/// kept in O(bound / 100) memory.
+///
+/// The nearest-rank p99 of n samples is the sample at ascending rank
+/// rank_index(n) = ceil(0.99 n) - 1, i.e. the (n - rank_index(n))-th
+/// largest. That count never decreases as n grows, so the
+/// tail_size(bound) largest samples — a min-heap of about 1% of the
+/// bound — contain the answer for every n <= bound, and quantile()
+/// returns exactly the double a selection over all n samples would.
+class NearestRankTail {
+ public:
+  /// Reserves the tail (one allocation of tail_size(bound) doubles).
+  explicit NearestRankTail(std::size_t bound);
+
+  void add(double sample);
+
+  /// Samples added so far.
+  std::uint64_t count() const { return count_; }
+
+  /// The nearest-rank p99 of every sample added; 0 when there is none.
+  /// @throws std::logic_error when more than `bound` samples were added.
+  double quantile() const;
+
+  /// ceil(0.99 n) - 1 (0 for n = 0), as a double-precision product.
+  static std::size_t rank_index(std::size_t n);
+  /// How many of the largest samples the tail keeps for `bound`.
+  static std::size_t tail_size(std::size_t bound);
+
+ private:
+  static constexpr double kP = 0.99;
+  std::size_t bound_;
+  std::size_t capacity_;
+  std::uint64_t count_ = 0;
+  std::vector<double> tail_;  ///< Min-heap of the largest samples.
+};
+
 class LoadServer {
  public:
   /// Validates the config (throws std::invalid_argument on a zero

@@ -156,8 +156,8 @@ core::SlotProblem Server::build_problem(std::size_t t) {
   return problem;
 }
 
-void Server::fill_user_context(std::size_t t, std::size_t u,
-                               core::UserSlotContext& ctx) {
+void Server::fill_user_lane(std::size_t t, std::size_t u,
+                            core::SlotProblem& out, std::size_t i) {
   UserState& user = users_[u];
 
   // Watchdogs. Both are quiescent in a healthy run: poses refresh
@@ -207,32 +207,34 @@ void Server::fill_user_context(std::size_t t, std::size_t u,
           ? 0.0
           : user.viewed_quality_sum / static_cast<double>(user.viewed_slots);
 
-  ctx.frame_loss.clear();  // recycled entry may carry last slot's table
   // Loss-aware mode decomposes success into (loss-free base) x
   // (1 - frame_loss); the published mode folds everything into delta.
-  ctx.delta = config_.loss_aware ? user.base_accuracy.estimate()
-                                 : user.accuracy.estimate();
-  ctx.qbar = qbar;
-  ctx.slot = static_cast<double>(t);
-  ctx.user_bandwidth = allocator_bandwidth;
+  const double delta = config_.loss_aware ? user.base_accuracy.estimate()
+                                          : user.accuracy.estimate();
+  user.slot_delta = delta;
+  out.qbar[i] = qbar;
+  out.weight[i] = core::welford_weight(static_cast<double>(t));
+  double user_bandwidth = allocator_bandwidth;
   if (user.safe_mode && config_.safe_mode_pin_level) {
     // Pin to level 1 through constraint (7): with B_n clamped to the
     // level-1 rate, no allocator can pick a higher level, so the
     // faulted user's stale estimates stop competing for the shared
     // server budget. Level 1 itself is the mandatory minimum and
     // stays allocated regardless (Allocator contract).
-    ctx.user_bandwidth = std::min(ctx.user_bandwidth, cc.rate[0] * hevc_mult);
+    user_bandwidth = std::min(user_bandwidth, cc.rate[0] * hevc_mult);
   }
+  out.user_bandwidth[i] = user_bandwidth;
   for (core::QualityLevel q = 1; q <= core::kNumQualityLevels; ++q) {
     const auto idx = static_cast<std::size_t>(q - 1);
+    const std::size_t lane = out.at(i, q);
     const double r = cc.rate[idx] * hevc_mult;
-    ctx.rate[idx] = r;
+    out.rate[lane] = r;
     // A trained delay polynomial describes the regime its samples came
     // from; after prolonged silence that regime is suspect, so fall
     // back to the analytic M/M/1 curve on the held bandwidth.
-    ctx.delay[idx] = feedback_stale
-                         ? net::mm1_delay(r, b_hat) * cvr::kSlotMillis
-                         : user.delay.predict_ms(r, b_hat);
+    out.delay[lane] = feedback_stale
+                          ? net::mm1_delay(r, b_hat) * cvr::kSlotMillis
+                          : user.delay.predict_ms(r, b_hat);
     if (config_.loss_aware) {
       // Frame-loss estimate at this level: utilisation the level would
       // induce on the estimated link, times the packets actually at
@@ -242,7 +244,9 @@ void Server::fill_user_context(std::size_t t, std::size_t u,
       const double packets = user.transmit_fraction * r *
                              cvr::kSlotSeconds * 1e6 /
                              config_.rtp_packet_bits;
-      ctx.frame_loss.push_back(user.loss.frame_loss(util, packets));
+      out.success[lane] = delta * (1.0 - user.loss.frame_loss(util, packets));
+    } else {
+      out.success[lane] = delta;
     }
   }
 }
@@ -253,9 +257,9 @@ void Server::build_problem_for(std::size_t t,
   clock_ = t;
   out.params = config_.params;
   out.server_bandwidth = config_.server_bandwidth_mbps;
-  out.users.resize(members.size());
+  out.resize(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
-    fill_user_context(t, members.at(i), out.users[i]);
+    fill_user_lane(t, members.at(i), out, i);
   }
 }
 
@@ -342,12 +346,12 @@ core::UserSlotContext Server::candidate_context(const proto::UserHandoff& frame,
   base_accuracy.restore(frame.base_hits, frame.base_count);
 
   core::UserSlotContext ctx;
-  ctx.delta = config_.loss_aware ? base_accuracy.estimate()
-                                 : accuracy.estimate();
-  ctx.qbar = frame.qbar_slots == 0
-                 ? 0.0
-                 : frame.qbar_sum / static_cast<double>(frame.qbar_slots);
-  ctx.slot = static_cast<double>(t);
+  ctx.set_history(
+      config_.loss_aware ? base_accuracy.estimate() : accuracy.estimate(),
+      frame.qbar_slots == 0
+          ? 0.0
+          : frame.qbar_sum / static_cast<double>(frame.qbar_slots),
+      static_cast<double>(t));
   ctx.user_bandwidth = frame.bandwidth_mbps;
   const motion::Pose pose = frame.has_pose ? frame.pose : motion::Pose{};
   const content::GridCell cell = clamped_cell(pose.x, pose.y);

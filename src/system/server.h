@@ -173,7 +173,7 @@ class Server {
 
   /// Loss-aware mode only: the loss-free base outcome (prediction
   /// coverage AND on-time display), so that packet loss is carried
-  /// exclusively by the per-level frame_loss table instead of being
+  /// exclusively by the per-level success lanes instead of being
   /// double-counted inside delta_bar.
   void on_base_outcome(std::size_t u, bool hit);
 
@@ -189,13 +189,13 @@ class Server {
                        const std::vector<content::VideoId>& acks);
 
   /// Builds the slot problem for slot `t` (1-based) from current
-  /// estimates over the listed members — out.users[i] describes
-  /// members[i]. Delay tables come from each user's polynomial delay
-  /// predictor (M/M/1 analytic fallback until trained). Only listed
-  /// users advance their watchdog state this slot. `out.users` is
-  /// resized (capacity retained) and every field overwritten, so the
-  /// per-slot build is allocation-free in steady state; the slot step
-  /// feeds it a SlotArena's problem (see src/core/slot_arena.h).
+  /// estimates over the listed members — lane i describes members[i].
+  /// Delay tables come from each user's polynomial delay predictor
+  /// (M/M/1 analytic fallback until trained). Only listed users advance
+  /// their watchdog state this slot. `out` is resized (capacity
+  /// retained) and every lane of every plane written, so the per-slot
+  /// build is allocation-free in steady state; the slot step feeds it a
+  /// SlotArena's problem (see src/core/slot_arena.h).
   void build_problem_for(std::size_t t, const std::vector<std::size_t>& members,
                          core::SlotProblem& out);
 
@@ -254,6 +254,9 @@ class Server {
 
   const content::ContentDb& content_db() const { return content_db_; }
   double bandwidth_estimate(std::size_t u) const;
+  /// The delta_bar estimate user `u`'s success lane was built from at
+  /// the last build_problem_for call that covered it.
+  double slot_delta(std::size_t u) const { return users_.at(u).slot_delta; }
 
   /// Fault-injection hook (faults::FaultType::kCacheFlush): empties
   /// every user's delivered-tile tracker, as a server crash-restart
@@ -285,6 +288,8 @@ class Server {
     double pending_probe_mbps = 0.0;
     /// Whether the next bandwidth sample was measured on a probe slot.
     bool probe_sample_pending = false;
+    /// delta_bar fed to the last problem build (see slot_delta()).
+    double slot_delta = 0.0;
     net::DelayPredictor delay;
     net::LossEstimator loss;
     motion::MarginController margin;
@@ -309,12 +314,12 @@ class Server {
   };
 
   content::GridCell clamped_cell(double x, double y) const;
-  /// Per-user body of build_problem_for.
-  void fill_user_context(std::size_t t, std::size_t u,
-                         core::UserSlotContext& ctx);
+  /// Per-user body of build_problem_for: writes user u's lane i.
+  void fill_user_lane(std::size_t t, std::size_t u, core::SlotProblem& out,
+                      std::size_t i);
 
   /// The active arm's bandwidth estimate for user `u` (stale-hold not
-  /// applied; see fill_user_context).
+  /// applied; see fill_user_lane).
   double raw_bandwidth_estimate(const UserState& user) const;
 
   ServerConfig config_;

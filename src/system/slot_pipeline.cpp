@@ -211,9 +211,8 @@ void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
   for (std::size_t i = 0; i < members.size(); ++i) {
     const core::QualityLevel cap = run.cap[members[i]];
     if (cap < core::kNumQualityLevels) {
-      core::UserSlotContext& uctx = problem.users[i];
-      uctx.user_bandwidth = std::min(
-          uctx.user_bandwidth, uctx.rate[static_cast<std::size_t>(cap - 1)]);
+      problem.user_bandwidth[i] =
+          std::min(problem.user_bandwidth[i], problem.rate_of(i, cap));
     }
   }
   {
@@ -301,9 +300,8 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
   const SystemSimConfig& config = run.config;
   const std::size_t i = run.member_index[u];
   const core::QualityLevel level = edge.allocation.levels[i];
-  const double delta_estimate = edge.arena.problem().users[i].delta;
-  const double bandwidth_estimate =
-      edge.arena.problem().users[i].user_bandwidth;
+  const double delta_estimate = edge.server.slot_delta(u);
+  const double bandwidth_estimate = edge.arena.problem().user_bandwidth[i];
   if (config.faults.user_disconnected(u, t)) {
     serve_absent_user(run, u, t, level, delta_estimate, bandwidth_estimate);
     return;

@@ -13,8 +13,8 @@ using testutil::make_grid_user;
 SlotProblem two_user_problem() {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_grid_user(50.0));
-  problem.users.push_back(make_grid_user(25.0));
+  problem.push_back(make_grid_user(50.0));
+  problem.push_back(make_grid_user(25.0));
   problem.server_bandwidth = 40.0;
   return problem;
 }

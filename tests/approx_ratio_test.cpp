@@ -24,7 +24,7 @@ using testutil::random_problem;
 
 double base_value(const SlotProblem& problem) {
   return evaluate(problem,
-                  std::vector<QualityLevel>(problem.users.size(), 1));
+                  std::vector<QualityLevel>(problem.user_count(), 1));
 }
 
 class ApproxRatioSweep : public ::testing::TestWithParam<std::uint64_t> {};

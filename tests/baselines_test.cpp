@@ -16,8 +16,8 @@ using testutil::random_problem;
 TEST(Firefly, StartsAtMaxIndividuallyFeasibleWhenRoomy) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_crf_user(35.0));   // max feasible level 3
-  problem.users.push_back(make_crf_user(100.0));  // max feasible level 6
+  problem.push_back(make_crf_user(35.0));   // max feasible level 3
+  problem.push_back(make_crf_user(100.0));  // max feasible level 6
   problem.server_bandwidth = 1000.0;
   FireflyAllocator firefly;
   const Allocation a = firefly.allocate(problem);
@@ -28,7 +28,7 @@ TEST(Firefly, StartsAtMaxIndividuallyFeasibleWhenRoomy) {
 TEST(Firefly, DegradesUntilAggregateFits) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  for (int i = 0; i < 4; ++i) problem.users.push_back(make_crf_user(100.0));
+  for (int i = 0; i < 4; ++i) problem.push_back(make_crf_user(100.0));
   problem.server_bandwidth = 150.0;
   FireflyAllocator firefly;
   const Allocation a = firefly.allocate(problem);
@@ -40,7 +40,7 @@ TEST(Firefly, LruRotatesDegradationPressure) {
   // same user — allocations should differ across consecutive slots.
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  for (int i = 0; i < 3; ++i) problem.users.push_back(make_crf_user(100.0));
+  for (int i = 0; i < 3; ++i) problem.push_back(make_crf_user(100.0));
   problem.server_bandwidth = 120.0;
   FireflyAllocator firefly;
   const Allocation first = firefly.allocate(problem);
@@ -53,7 +53,7 @@ TEST(Firefly, LruRotatesDegradationPressure) {
 TEST(Firefly, ResetClearsLruState) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  for (int i = 0; i < 3; ++i) problem.users.push_back(make_crf_user(100.0));
+  for (int i = 0; i < 3; ++i) problem.push_back(make_crf_user(100.0));
   problem.server_bandwidth = 120.0;
   FireflyAllocator firefly;
   const Allocation first = firefly.allocate(problem);
@@ -75,8 +75,8 @@ TEST(Firefly, QoeObliviousIgnoresVariancePenalty) {
 TEST(Firefly, AllOnesWhenEverythingTight) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_crf_user(15.0));
-  problem.users.push_back(make_crf_user(15.0));
+  problem.push_back(make_crf_user(15.0));
+  problem.push_back(make_crf_user(15.0));
   problem.server_bandwidth = 20.0;
   FireflyAllocator firefly;
   EXPECT_EQ(firefly.allocate(problem).levels,
@@ -99,13 +99,13 @@ TEST(Pavq, PerUserOptimumWhenUnconstrained) {
   // choice must equal the argmax of h with delta forced to 1.
   SlotProblem problem;
   problem.params = QoeParams{0.1, 0.5};
-  problem.users.push_back(make_crf_user(100.0, 0.6, 2.0, 20.0));
+  problem.push_back(make_crf_user(100.0, 0.6, 2.0, 20.0));
   problem.server_bandwidth = 1000.0;
   PavqAllocator pavq;
   const Allocation a = pavq.allocate(problem);
 
-  UserSlotContext perfect = problem.users[0];
-  perfect.delta = 1.0;
+  UserSlotContext perfect = problem.user(0);
+  perfect.success.fill(1.0);
   double best = -1e18;
   QualityLevel best_q = 1;
   for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
@@ -170,7 +170,7 @@ TEST(Pavq, RespectsUserConstraint) {
     const Allocation a = pavq.allocate(problem);
     for (std::size_t n = 0; n < 8; ++n) {
       if (a.levels[n] > 1) {
-        EXPECT_TRUE(user_feasible(problem.users[n], a.levels[n])) << seed;
+        EXPECT_TRUE(user_feasible(problem, n, a.levels[n])) << seed;
       }
     }
   }
@@ -181,7 +181,7 @@ TEST(Pavq, VarianceAnchorsAllocationNearRunningMean) {
   // trade-off that defines PAVQ).
   SlotProblem problem;
   problem.params = QoeParams{0.0, 50.0};
-  problem.users.push_back(make_crf_user(100.0, 1.0, 3.0, 100.0));
+  problem.push_back(make_crf_user(100.0, 1.0, 3.0, 100.0));
   problem.server_bandwidth = 1000.0;
   PavqAllocator pavq;
   EXPECT_EQ(pavq.allocate(problem).levels[0], 3);
@@ -190,7 +190,7 @@ TEST(Pavq, VarianceAnchorsAllocationNearRunningMean) {
 TEST(Pavq, TightBudgetConvergesToFit) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  for (int i = 0; i < 4; ++i) problem.users.push_back(make_crf_user(100.0));
+  for (int i = 0; i < 4; ++i) problem.push_back(make_crf_user(100.0));
   problem.server_bandwidth = 100.0;
   PavqAllocator pavq;
   Allocation a;
@@ -202,8 +202,8 @@ TEST(Pavq, TightBudgetConvergesToFit) {
 TEST(Pavq, BudgetBelowMinimaDrivesAllOnesEventually) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_crf_user(100.0));
-  problem.users.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
   problem.server_bandwidth = 1.0;
   PavqAllocator pavq;
   Allocation a;
@@ -226,7 +226,11 @@ TEST(Pavq, IgnoresDeltaUnlikeOurAllocator) {
   // allocation (it was designed before FoV prediction).
   SlotProblem base = random_problem(9, 5, 0.02, 0.5);
   SlotProblem degraded = base;
-  for (auto& user : degraded.users) user.delta = 0.5;
+  for (std::size_t n = 0; n < degraded.user_count(); ++n) {
+    UserSlotContext user = degraded.user(n);
+    user.success.fill(0.5);
+    degraded.set_user(n, user);
+  }
   PavqAllocator a, b;
   EXPECT_EQ(a.allocate(base).levels, b.allocate(degraded).levels);
 }

@@ -49,7 +49,7 @@ TEST_P(AllocatorConformance, RespectsUserConstraintAboveMinimum) {
     const Allocation a = allocator->allocate(problem);
     for (std::size_t n = 0; n < problem.user_count(); ++n) {
       if (a.levels[n] > 1) {
-        EXPECT_TRUE(user_feasible(problem.users[n], a.levels[n]))
+        EXPECT_TRUE(user_feasible(problem, n, a.levels[n]))
             << GetParam() << " seed " << seed;
       }
     }

@@ -21,9 +21,7 @@ inline UserSlotContext make_user(const std::vector<double>& rates,
   std::copy(rates.begin(), rates.end(), user.rate.begin());
   std::copy(delays.begin(), delays.end(), user.delay.begin());
   user.user_bandwidth = user_bandwidth;
-  user.delta = delta;
-  user.qbar = qbar;
-  user.slot = slot;
+  user.set_history(delta, qbar, slot);
   return user;
 }
 
@@ -61,9 +59,9 @@ inline UserSlotContext make_crf_user(double user_bandwidth, double delta = 1.0,
 inline SlotProblem paper_case_density_fails() {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_user({0.1, 0.6, 100, 200, 300, 400},
+  problem.push_back(make_user({0.1, 0.6, 100, 200, 300, 400},
                                     {0, 0, 0, 0, 0, 0}, 1.0, 1.0));
-  problem.users.push_back(make_user({0.1, 2.6, 100, 200, 300, 400},
+  problem.push_back(make_user({0.1, 2.6, 100, 200, 300, 400},
                                     {0, 0, 0, 0, 0, 0}, 3.0, 4.0));
   problem.server_bandwidth = 2.7;  // minima 0.2 + residual 2.5
   return problem;
@@ -75,10 +73,10 @@ inline SlotProblem paper_case_value_fails() {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
   for (int i = 0; i < 4; ++i) {
-    problem.users.push_back(make_user({0.1, 0.6, 100, 200, 300, 400},
+    problem.push_back(make_user({0.1, 0.6, 100, 200, 300, 400},
                                       {0, 0, 0, 0, 0, 0}, 1.0, 2.0));
   }
-  problem.users.push_back(make_user({0.1, 2.1, 100, 200, 300, 400},
+  problem.push_back(make_user({0.1, 2.1, 100, 200, 300, 400},
                                     {0, 0, 0, 0, 0, 0}, 3.0, 3.0));
   problem.server_bandwidth = 0.5 + 2.0;  // minima 0.5 + residual 2
   return problem;
@@ -98,8 +96,8 @@ inline SlotProblem random_problem(std::uint64_t seed, std::size_t users,
     const double delta = rng.uniform(0.6, 1.0);
     const double qbar = rng.uniform(0.0, 6.0);
     const double slot = rng.uniform(1.0, 500.0);
-    problem.users.push_back(make_crf_user(bandwidth, delta, qbar, slot, scale));
-    total_min_rate += problem.users.back().rate[0];
+    problem.push_back(make_crf_user(bandwidth, delta, qbar, slot, scale));
+    total_min_rate += problem.rate_of(n, 1);
   }
   // Server budget between "tight" and "roomy".
   problem.server_bandwidth = total_min_rate * rng.uniform(1.0, 3.5);

@@ -89,9 +89,9 @@ TEST(DvGreedy, RespectsUserConstraintAboveMinimum) {
     SlotProblem problem = random_problem(seed, 8);
     DvGreedyAllocator alloc;
     const Allocation a = alloc.allocate(problem);
-    for (std::size_t n = 0; n < problem.users.size(); ++n) {
+    for (std::size_t n = 0; n < problem.user_count(); ++n) {
       if (a.levels[n] > 1) {
-        EXPECT_TRUE(user_feasible(problem.users[n], a.levels[n]))
+        EXPECT_TRUE(user_feasible(problem, n, a.levels[n]))
             << "seed " << seed << " user " << n;
       }
     }
@@ -114,7 +114,7 @@ TEST(DvGreedy, AmpleBandwidthMaxesWhenBeneficial) {
   // One user, huge bandwidth, no penalties: take level 6.
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_crf_user(1000.0, 1.0, 0.0, 1.0));
+  problem.push_back(make_crf_user(1000.0, 1.0, 0.0, 1.0));
   problem.server_bandwidth = 1000.0;
   DvGreedyAllocator alloc;
   EXPECT_EQ(alloc.allocate(problem).levels,
@@ -126,7 +126,7 @@ TEST(DvGreedy, NegativeMarginalStopsEarly) {
   // hurts, stay at level 1 despite ample bandwidth.
   SlotProblem problem;
   problem.params = QoeParams{0.0, 10.0};
-  problem.users.push_back(make_crf_user(1000.0, 1.0, 1.0, 100.0));
+  problem.push_back(make_crf_user(1000.0, 1.0, 1.0, 100.0));
   problem.server_bandwidth = 1000.0;
   DvGreedyAllocator alloc;
   EXPECT_EQ(alloc.allocate(problem).levels,
@@ -136,8 +136,8 @@ TEST(DvGreedy, NegativeMarginalStopsEarly) {
 TEST(DvGreedy, TightBudgetKeepsAllOnes) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_crf_user(100.0));
-  problem.users.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
   problem.server_bandwidth = 2.0 * 14.2;  // exactly the minima
   DvGreedyAllocator alloc;
   EXPECT_EQ(alloc.allocate(problem).levels,
@@ -147,8 +147,8 @@ TEST(DvGreedy, TightBudgetKeepsAllOnes) {
 TEST(DvGreedy, EvenInfeasibleMinimumReturnsAllOnes) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_crf_user(100.0));
-  problem.users.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
   problem.server_bandwidth = 5.0;  // below the minima
   DvGreedyAllocator alloc;
   EXPECT_EQ(alloc.allocate(problem).levels,
@@ -234,16 +234,16 @@ TEST(DvGreedy, RejectedIncrementRestoresTheBudgetExactly) {
   // and so would a budget cut-off that fired at equality.
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};  // h(q) = delta * q
-  problem.users.push_back(
+  problem.push_back(
       make_user({0.9035240878873405, 789.838151872265, 1600, 2400, 3200, 4000},
                 {0, 0, 0, 0, 0, 0}, 1e4, 1.0));
-  problem.users.push_back(
+  problem.push_back(
       make_user({0.5, 5.283593380034321, 100, 200, 300, 400},
                 {0, 0, 0, 0, 0, 0}, 5.283593380034321, 0.005));
   problem.server_bandwidth = 6.187117466921661;
 
-  const auto& rate0 = problem.users[0].rate;
-  const auto& rate1 = problem.users[1].rate;
+  const auto rate0 = problem.user(0).rate;
+  const auto rate1 = problem.user(1).rate;
   const double u = rate0[0] + rate1[0];
   const double inc0 = rate0[1] - rate0[0];
   const double inc1 = rate1[1] - rate1[0];
@@ -265,10 +265,10 @@ TEST(DvGreedy, NanRateStepKeepsTheBudgetCutOffOff) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_user({kInf, kInf, kInf, kInf, kInf, kInf},
+  problem.push_back(make_user({kInf, kInf, kInf, kInf, kInf, kInf},
                                     {0, 0, 0, 0, 0, 0}, kInf));
-  problem.users.push_back(make_grid_user(10.0));  // pinned at level 1
-  problem.users.push_back(make_grid_user(10.0));
+  problem.push_back(make_grid_user(10.0));  // pinned at level 1
+  problem.push_back(make_grid_user(10.0));
   problem.server_bandwidth = 100.0;
 
   expect_levels_in_every_mode(problem, {kNumQualityLevels, 1, 1});
@@ -308,9 +308,12 @@ TEST(DvGreedyHeap, IdenticalOnNonConcaveLossAwareProblems) {
   for (std::uint64_t seed = 200; seed <= 215; ++seed) {
     SlotProblem problem = random_problem(seed, 6);
     cvr::Rng rng(seed);
-    for (auto& user : problem.users) {
-      user.frame_loss.resize(6);
-      for (double& loss : user.frame_loss) loss = rng.uniform(0.0, 0.7);
+    for (std::size_t n = 0; n < problem.user_count(); ++n) {
+      UserSlotContext user = problem.user(n);
+      for (double& success : user.success) {
+        success *= 1.0 - rng.uniform(0.0, 0.7);  // frame loss
+      }
+      problem.set_user(n, user);
     }
     DvGreedyAllocator scan(DvGreedyAllocator::Mode::kCombined,
                            DvGreedyAllocator::Strategy::kScan);
@@ -364,7 +367,7 @@ SlotProblem service_scale_problem(std::uint64_t seed, std::size_t n_users,
       user.user_bandwidth = std::min(user.user_bandwidth, user.rate[cap - 1]);
     }
     mandatory += user.rate[0];
-    problem.users.push_back(user);
+    problem.push_back(user);
   }
   problem.server_bandwidth = 1.15 * mandatory;
   return problem;
@@ -411,7 +414,9 @@ TEST(DvGreedyServiceScale, HeapMatchesScanWhenTheBudgetRunsOutEarly) {
   // smaller one that still fits.
   SlotProblem problem = service_scale_problem(15, 2000, 0.2);
   double mandatory = 0.0;
-  for (const UserSlotContext& user : problem.users) mandatory += user.rate[0];
+  for (std::size_t n = 0; n < problem.user_count(); ++n) {
+    mandatory += problem.rate_of(n, 1);
+  }
   problem.server_bandwidth = 1.03 * mandatory;
 
   const std::vector<QualityLevel> levels =
@@ -419,8 +424,8 @@ TEST(DvGreedyServiceScale, HeapMatchesScanWhenTheBudgetRunsOutEarly) {
   const double used = total_rate(problem, levels);
   std::size_t raisable_left = 0;
   for (std::size_t n = 0; n < problem.user_count(); ++n) {
-    const UserSlotContext& user = problem.users[n];
-    if (levels[n] < kNumQualityLevels && user_feasible(user, levels[n] + 1)) {
+    if (levels[n] < kNumQualityLevels &&
+        user_feasible(problem, n, levels[n] + 1)) {
       ++raisable_left;
     }
   }

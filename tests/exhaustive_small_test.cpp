@@ -55,7 +55,7 @@ QualityLevel max_affordable_level(const UserSlotContext& user) {
 /// Reference optimum by direct enumeration of every level vector,
 /// using the same allocation_feasible() oracle as the solvers.
 double enumerate_optimum(const SlotProblem& problem) {
-  const std::size_t n = problem.users.size();
+  const std::size_t n = problem.user_count();
   std::vector<QualityLevel> levels(n, 1);
   double best = evaluate(problem, levels);  // all-ones is always allowed
   while (true) {
@@ -77,7 +77,8 @@ double enumerate_optimum(const SlotProblem& problem) {
 /// them, and leave headroom.
 std::vector<double> budget_grid(const SlotProblem& problem) {
   double min_sum = 0.0, max_sum = 0.0, mid_sum = 0.0;
-  for (const auto& user : problem.users) {
+  for (std::size_t n = 0; n < problem.user_count(); ++n) {
+    const UserSlotContext user = problem.user(n);
     const QualityLevel cap = max_affordable_level(user);
     min_sum += user.rate[0];
     max_sum += user.rate[static_cast<std::size_t>(cap - 1)];
@@ -105,7 +106,7 @@ TEST(ExhaustiveSmall, AllSolversConsistentOnTheFullGrid) {
       SlotProblem problem;
       problem.params = QoeParams{0.0, 0.0};
       for (std::size_t u = 0; u < n_users; ++u) {
-        problem.users.push_back(variants[pick[u]]);
+        problem.push_back(variants[pick[u]]);
       }
       for (double budget : budget_grid(problem)) {
         problem.server_bandwidth = budget;
@@ -134,7 +135,7 @@ TEST(ExhaustiveSmall, AllSolversConsistentOnTheFullGrid) {
         // Theorem 1 on the gain over the all-ones base.
         DvGreedyAllocator combined;
         const double base = evaluate(
-            problem, std::vector<QualityLevel>(problem.users.size(), 1));
+            problem, std::vector<QualityLevel>(problem.user_count(), 1));
         const double opt_gain = reference - base;
         const double greedy_gain =
             combined.allocate(problem).objective - base;

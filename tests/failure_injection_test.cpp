@@ -287,7 +287,7 @@ TEST(FailureInjection, AllocatorsSurvivePathologicalContexts) {
   for (int i = 0; i < 4; ++i) {
     auto user = make_crf_user(15.0, 0.0, 6.0, 1e9);
     for (auto& d : user.delay) d = net::kSaturatedDelay;
-    problem.users.push_back(std::move(user));
+    problem.push_back(std::move(user));
   }
   problem.server_bandwidth = 30.0;
 
@@ -316,7 +316,7 @@ TEST(FailureInjection, UserCountChangesMidStream) {
     core::SlotProblem problem;
     problem.params = core::QoeParams{0.02, 0.5};
     for (std::size_t n = 0; n < users; ++n) {
-      problem.users.push_back(make_crf_user(50.0, 0.9, 2.0, 10.0));
+      problem.push_back(make_crf_user(50.0, 0.9, 2.0, 10.0));
     }
     problem.server_bandwidth = 36.0 * static_cast<double>(users);
     core::Allocator* allocators[] = {&firefly, &pavq, &dv};
@@ -330,7 +330,7 @@ TEST(FailureInjection, ZeroBandwidthEstimates) {
   // An EMA driven to (near) zero must not divide-by-zero anywhere.
   core::SlotProblem problem;
   problem.params = core::QoeParams{0.1, 0.5};
-  problem.users.push_back(make_crf_user(1e-6, 0.9, 2.0, 10.0));
+  problem.push_back(make_crf_user(1e-6, 0.9, 2.0, 10.0));
   problem.server_bandwidth = 100.0;
   core::DvGreedyAllocator dv;
   const auto a = dv.allocate(problem);
@@ -344,7 +344,7 @@ TEST(FailureInjection, ExtremeWeights) {
       core::SlotProblem problem;
       problem.params = core::QoeParams{alpha, beta};
       for (int i = 0; i < 3; ++i) {
-        problem.users.push_back(make_crf_user(60.0, 0.9, 3.0, 50.0));
+        problem.push_back(make_crf_user(60.0, 0.9, 3.0, 50.0));
       }
       problem.server_bandwidth = 150.0;
       core::DvGreedyAllocator dv;

@@ -22,7 +22,7 @@ HorizonProblem make_problem(std::size_t horizon, std::size_t users,
     slot.params = params;
     slot.server_bandwidth = server_budget;
     for (std::size_t n = 0; n < users; ++n) {
-      slot.users.push_back(make_crf_user(bandwidth, 1.0, 0.0, 1.0));
+      slot.push_back(make_crf_user(bandwidth, 1.0, 0.0, 1.0));
     }
     problem.slots.push_back(std::move(slot));
   }
@@ -124,7 +124,7 @@ TEST(Horizon, EmptyOrInconsistentThrows) {
   DvGreedyAllocator greedy;
   EXPECT_THROW(horizon_sequential(empty, greedy), std::invalid_argument);
   HorizonProblem ragged = make_problem(2, 2);
-  ragged.slots[1].users.pop_back();
+  ragged.slots[1].erase(ragged.slots[1].user_count() - 1);
   EXPECT_THROW(horizon_sequential(ragged, greedy), std::invalid_argument);
 }
 

@@ -16,7 +16,7 @@ using testutil::random_problem;
 TEST(Lagrangian, UnconstrainedMatchesPerUserArgmax) {
   SlotProblem problem;
   problem.params = QoeParams{0.1, 0.5};
-  problem.users.push_back(make_crf_user(60.0, 0.9, 3.0, 10.0));
+  problem.push_back(make_crf_user(60.0, 0.9, 3.0, 10.0));
   problem.server_bandwidth = 1e6;
   LagrangianAllocator lagrangian;
   BruteForceAllocator brute;
@@ -30,9 +30,9 @@ TEST(Lagrangian, AlwaysFeasible) {
     LagrangianAllocator lagrangian;
     const Allocation a = lagrangian.allocate(problem);
     EXPECT_TRUE(server_feasible(problem, a.levels)) << seed;
-    for (std::size_t n = 0; n < problem.users.size(); ++n) {
+    for (std::size_t n = 0; n < problem.user_count(); ++n) {
       if (a.levels[n] > 1) {
-        EXPECT_TRUE(user_feasible(problem.users[n], a.levels[n])) << seed;
+        EXPECT_TRUE(user_feasible(problem, n, a.levels[n])) << seed;
       }
     }
   }
@@ -60,8 +60,8 @@ TEST(Lagrangian, NearOptimalOnRandomInstances) {
 TEST(Lagrangian, InfeasibleMinimumFallsBackToAllOnes) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_crf_user(100.0));
-  problem.users.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
   problem.server_bandwidth = 1.0;
   LagrangianAllocator lagrangian;
   EXPECT_EQ(lagrangian.allocate(problem).levels,

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "src/telemetry/telemetry.h"
+#include "src/util/rng.h"
 
 namespace cvr::system {
 namespace {
@@ -261,6 +268,99 @@ TEST(LoadServer, RejectsBadQoeWeightsNamingTheField) {
   LoadServiceConfig zero = small_config();
   zero.params = core::QoeParams{0.0, 0.0};
   EXPECT_NO_THROW(LoadServer{zero});
+}
+
+// The nearest-rank p99 over the full sample set, by selection — the
+// reference the tail keeper must reproduce bit for bit.
+double full_set_p99(std::vector<double> samples) {
+  if (samples.empty()) return 0.0;
+  std::size_t index = static_cast<std::size_t>(
+      std::ceil(0.99 * static_cast<double>(samples.size())));
+  index = index == 0 ? 0 : index - 1;
+  if (index >= samples.size()) index = samples.size() - 1;
+  const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(index);
+  std::nth_element(samples.begin(), nth, samples.end());
+  return *nth;
+}
+
+TEST(NearestRankTail, MatchesTheFullSetWithHeavyTies) {
+  for (std::size_t bound : {1u, 99u, 100u, 101u, 1000u, 12345u}) {
+    const std::size_t tail = NearestRankTail::tail_size(bound);
+    ASSERT_GE(tail, 1u);
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, tail - 1, tail,
+                          tail + 1, bound / 2, bound - 1, bound}) {
+      if (n > bound) continue;
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        cvr::Rng rng(seed * 7919 + n);
+        NearestRankTail keeper(bound);
+        std::vector<double> all;
+        for (std::size_t i = 0; i < n; ++i) {
+          // Eight distinct values: ties everywhere, including at the rank.
+          const double v = static_cast<double>(rng.uniform_int(0, 7)) * 0.5;
+          keeper.add(v);
+          all.push_back(v);
+        }
+        EXPECT_EQ(keeper.count(), n);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(keeper.quantile()),
+                  std::bit_cast<std::uint64_t>(full_set_p99(all)))
+            << "bound " << bound << " n " << n << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(NearestRankTail, MatchesTheFullSetOnDistinctValuesAtTheBound) {
+  // Distinct values in random order: the kept tail must hold exactly the
+  // samples ranked at or above the p99 when n equals the bound.
+  constexpr std::size_t kBound = 5000;
+  cvr::Rng rng(3);
+  NearestRankTail keeper(kBound);
+  std::vector<double> all;
+  for (std::size_t i = 0; i < kBound; ++i) {
+    const double v = rng.uniform(0.0, 100.0);
+    keeper.add(v);
+    all.push_back(v);
+  }
+  EXPECT_EQ(keeper.quantile(), full_set_p99(all));
+}
+
+TEST(NearestRankTail, RejectsMoreSamplesThanItsBound) {
+  NearestRankTail keeper(3);
+  for (int i = 0; i < 4; ++i) keeper.add(1.0);
+  EXPECT_THROW(keeper.quantile(), std::logic_error);
+}
+
+TEST(LoadServer, PopulationAtCapacityFillsTheTailBound) {
+  // Long sessions arriving far faster than they leave keep the server at
+  // capacity_users for the whole post-warm-up window, so the window
+  // holds exactly capacity_users * (slots - warmup_slots) samples: the
+  // tail's bound is tight.
+  // About 4 arrivals per slot (lambda = load * capacity / mean stay)
+  // keep the accept queue non-empty, and a full queue refills every
+  // departure before the next slot is served.
+  LoadServiceConfig config = small_config(2000.0);
+  config.capacity_users = 6;
+  config.warmup_slots = 60;
+  config.traffic.mean_session_slots = 3000.0;
+  config.traffic.connect_speed = 1000.0;
+  const std::size_t slots = 300;
+  const LoadServiceReport report = LoadServer(config).run(slots);
+  EXPECT_EQ(report.delay_samples,
+            config.capacity_users * (slots - config.warmup_slots));
+  EXPECT_GT(report.p99_delay_ms, 0.0);
+  EXPECT_GE(report.p99_delay_ms, report.mean_delay_ms);
+}
+
+TEST(LoadServer, EmptyWindowReportsAZeroP99) {
+  LoadServiceConfig config = small_config();
+  config.warmup_slots = 400;
+  for (std::size_t slots : {std::size_t{400}, std::size_t{250}}) {
+    LoadServiceReport report;
+    EXPECT_NO_THROW(report = LoadServer(config).run(slots));
+    EXPECT_EQ(report.delay_samples, 0u);
+    EXPECT_EQ(report.p99_delay_ms, 0.0);
+    EXPECT_EQ(report.mean_delay_ms, 0.0);
+  }
 }
 
 }  // namespace

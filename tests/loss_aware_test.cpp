@@ -1,6 +1,8 @@
 // Section VIII extension: loss-aware h_n and allocation behaviour.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core_test_util.h"
 #include "src/core/dv_greedy.h"
 #include "src/system/system_sim.h"
@@ -10,30 +12,9 @@ namespace {
 
 using testutil::make_crf_user;
 
-TEST(EffectiveDelta, EqualsDeltaWithoutLossTable) {
-  const auto user = make_crf_user(60.0, 0.9, 2.0, 10.0);
-  for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
-    EXPECT_DOUBLE_EQ(user.effective_delta(q), 0.9);
-  }
-}
-
-TEST(EffectiveDelta, DiscountsByFrameLoss) {
-  auto user = make_crf_user(60.0, 0.9, 2.0, 10.0);
-  user.frame_loss = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5};
-  EXPECT_DOUBLE_EQ(user.effective_delta(1), 0.9);
-  EXPECT_DOUBLE_EQ(user.effective_delta(4), 0.9 * 0.7);
-  EXPECT_DOUBLE_EQ(user.effective_delta(6), 0.45);
-}
-
-TEST(EffectiveDelta, ShortTableThrows) {
-  auto user = make_crf_user(60.0);
-  user.frame_loss = {0.1, 0.2};
-  EXPECT_THROW(user.effective_delta(3), std::out_of_range);
-}
-
 TEST(HValueLossAware, MatchesManualFormula) {
   auto user = make_crf_user(100.0, 0.9, 2.0, 5.0);
-  user.frame_loss.assign(6, 0.25);
+  for (double& success : user.success) success *= 1.0 - 0.25;
   const QoeParams params{0.02, 0.5};
   const double success = 0.9 * 0.75;
   const double weight = 4.0 / 5.0;
@@ -48,7 +29,7 @@ TEST(HValueLossAware, MatchesManualFormula) {
 TEST(HValueLossAware, ZeroLossTableIsNoOp) {
   auto base = make_crf_user(100.0, 0.85, 2.5, 20.0);
   auto with_zeros = base;
-  with_zeros.frame_loss.assign(6, 0.0);
+  for (double& success : with_zeros.success) success *= 1.0 - 0.0;
   const QoeParams params{0.05, 0.5};
   for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
     EXPECT_DOUBLE_EQ(h_value(base, q, params), h_value(with_zeros, q, params));
@@ -58,12 +39,17 @@ TEST(HValueLossAware, ZeroLossTableIsNoOp) {
 TEST(LossAwareAllocation, SteepLossCurvePushesLevelsDown) {
   SlotProblem lossless;
   lossless.params = QoeParams{0.0, 0.0};
-  lossless.users.push_back(make_crf_user(1000.0, 1.0, 0.0, 1.0));
+  lossless.push_back(make_crf_user(1000.0, 1.0, 0.0, 1.0));
   lossless.server_bandwidth = 1000.0;
 
-  SlotProblem lossy = lossless;
   // Frame loss rising steeply with level: high levels become worthless.
-  lossy.users[0].frame_loss = {0.0, 0.05, 0.15, 0.4, 0.7, 0.9};
+  const std::array<double, 6> loss = {0.0, 0.05, 0.15, 0.4, 0.7, 0.9};
+  SlotProblem lossy;
+  lossy.params = lossless.params;
+  UserSlotContext user = make_crf_user(1000.0, 1.0, 0.0, 1.0);
+  for (std::size_t l = 0; l < loss.size(); ++l) user.success[l] *= 1.0 - loss[l];
+  lossy.push_back(user);
+  lossy.server_bandwidth = lossless.server_bandwidth;
 
   DvGreedyAllocator alloc;
   const auto q_lossless = alloc.allocate(lossless).levels[0];

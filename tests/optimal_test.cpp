@@ -16,15 +16,15 @@ using testutil::random_problem;
 TEST(BruteForce, SingleUserPicksArgmax) {
   SlotProblem problem;
   problem.params = QoeParams{0.1, 0.5};
-  problem.users.push_back(make_crf_user(60.0, 0.9, 3.0, 10.0));
+  problem.push_back(make_crf_user(60.0, 0.9, 3.0, 10.0));
   problem.server_bandwidth = 1000.0;
   BruteForceAllocator brute;
   const Allocation a = brute.allocate(problem);
   double best = -1e18;
   QualityLevel best_q = 1;
   for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
-    if (q > 1 && !user_feasible(problem.users[0], q)) break;
-    const double v = h_value(problem.users[0], q, problem.params);
+    if (q > 1 && !user_feasible(problem, 0, q)) break;
+    const double v = h_value(problem.user(0), q, problem.params);
     if (v > best) {
       best = v;
       best_q = q;
@@ -42,7 +42,7 @@ TEST(BruteForce, RespectsConstraints) {
     EXPECT_TRUE(server_feasible(problem, a.levels)) << seed;
     for (std::size_t n = 0; n < 5; ++n) {
       if (a.levels[n] > 1) {
-        EXPECT_TRUE(user_feasible(problem.users[n], a.levels[n])) << seed;
+        EXPECT_TRUE(user_feasible(problem, n, a.levels[n])) << seed;
       }
     }
   }
@@ -63,7 +63,7 @@ TEST(BruteForce, NeverBeatenByAnyFeasibleEnumeration) {
           bool ok = server_feasible(problem, q);
           for (int n = 0; n < 3 && ok; ++n) {
             if (q[static_cast<std::size_t>(n)] > 1 &&
-                !user_feasible(problem.users[static_cast<std::size_t>(n)],
+                !user_feasible(problem, static_cast<std::size_t>(n),
                                q[static_cast<std::size_t>(n)])) {
               ok = false;
             }
@@ -91,8 +91,8 @@ TEST(BruteForce, EmptyProblem) {
 TEST(BruteForce, InfeasibleMinimumFallsBackToAllOnes) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_crf_user(100.0));
-  problem.users.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
   problem.server_bandwidth = 1.0;
   BruteForceAllocator brute;
   EXPECT_EQ(brute.allocate(problem).levels,
@@ -146,7 +146,7 @@ TEST(DpAllocator, RejectsBadGranularity) {
 TEST(DpAllocator, InfeasibleMinimumFallsBackToAllOnes) {
   SlotProblem problem;
   problem.params = QoeParams{0.0, 0.0};
-  problem.users.push_back(make_crf_user(100.0));
+  problem.push_back(make_crf_user(100.0));
   problem.server_bandwidth = 0.5;
   DpAllocator dp(0.1);
   EXPECT_EQ(dp.allocate(problem).levels, (std::vector<QualityLevel>{1}));

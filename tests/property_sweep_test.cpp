@@ -29,11 +29,11 @@ SlotProblem grid_problem(const GridPoint& point, std::uint64_t seed) {
   problem.params = QoeParams{alpha, beta};
   double total_min = 0.0;
   for (int n = 0; n < users; ++n) {
-    problem.users.push_back(make_crf_user(
+    problem.push_back(make_crf_user(
         rng.uniform(20.0, 100.0), rng.uniform(0.5, 1.0),
         rng.uniform(0.0, 6.0), rng.uniform(1.0, 300.0),
         rng.lognormal(0.0, 0.2)));
-    total_min += problem.users.back().rate[0];
+    total_min += problem.rate_of(problem.user_count() - 1, 1);
   }
   problem.server_bandwidth = total_min * tightness;
   return problem;
@@ -81,7 +81,8 @@ TEST_P(AllocatorGrid, LagrangianMatchesGreedyClass) {
     // Both are near-optimal schemes: they agree within the value of the
     // single largest increment on the instance.
     double max_increment = 0.0;
-    for (const auto& user : problem.users) {
+    for (std::size_t n = 0; n < problem.user_count(); ++n) {
+      const UserSlotContext user = problem.user(n);
       for (QualityLevel q = 1; q < kNumQualityLevels; ++q) {
         max_increment = std::max(
             max_increment, std::abs(h_increment(user, q, problem.params)));

@@ -73,8 +73,8 @@ TEST(Seeds, IterationZeroReplaysTheMasterSeed) {
 // Fails whenever the instance has >= 2 users: the shrinker must strip
 // it down to exactly 2 (dropping either one makes the check pass).
 CheckResult fails_with_two_users(const SlotProblem& problem) {
-  return problem.users.size() >= 2
-             ? fail("injected: " + std::to_string(problem.users.size()) +
+  return problem.user_count() >= 2
+             ? fail("injected: " + std::to_string(problem.user_count()) +
                     " users")
              : pass();
 }
@@ -90,12 +90,12 @@ TEST(Shrink, SlotProblemReachesTheLocalMinimum) {
     return !fails_with_two_users(p).ok;
   };
   const ShrinkOutcome<SlotProblem> outcome = shrink_to_minimal(failing, fails);
-  EXPECT_EQ(outcome.minimal.users.size(), 2u);
+  EXPECT_EQ(outcome.minimal.user_count(), 2u);
   EXPECT_GE(outcome.steps, 2u);
   // Local minimality: no single candidate reduction still fails.
   for (const SlotProblem& candidate :
        ShrinkTraits<SlotProblem>::candidates(outcome.minimal)) {
-    if (candidate.users.size() < 2) {
+    if (candidate.user_count() < 2) {
       EXPECT_FALSE(fails(candidate));
     }
   }
@@ -129,9 +129,9 @@ TEST(Property, FailureReportsReplayableSeedAndShrunkFixture) {
   EXPECT_NE(ce.note.find("injected"), std::string::npos);
   // The fixture is the SHRUNK instance: exactly two users left.
   std::size_t pushes = 0;
-  for (std::size_t at = ce.fixture.find("problem.users.push_back");
+  for (std::size_t at = ce.fixture.find("problem.push_back");
        at != std::string::npos;
-       at = ce.fixture.find("problem.users.push_back", at + 1)) {
+       at = ce.fixture.find("problem.push_back", at + 1)) {
     ++pushes;
   }
   EXPECT_EQ(pushes, 2u);
@@ -241,13 +241,14 @@ TEST(Generators, TieHeavyConfigProducesExactDuplicates) {
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     cvr::Rng rng(seed);
     const SlotProblem problem = gen_slot_problem(rng, tie_heavy_config());
-    for (std::size_t i = 0; i + 1 < problem.users.size() && i < 64; ++i) {
-      for (std::size_t j = i + 1; j < problem.users.size(); ++j) {
-        if (problem.users[i].rate == problem.users[j].rate &&
-            problem.users[i].delay == problem.users[j].delay &&
-            problem.users[i].delta == problem.users[j].delta) {
+    for (std::size_t i = 0; i + 1 < problem.user_count() && i < 64; ++i) {
+      for (std::size_t j = i + 1; j < problem.user_count(); ++j) {
+        const core::UserSlotContext a = problem.user(i);
+        const core::UserSlotContext b = problem.user(j);
+        if (a.rate == b.rate && a.delay == b.delay &&
+            a.success == b.success) {
           ++with_duplicates;
-          j = problem.users.size();
+          j = problem.user_count();
           i = 64;
         }
       }
@@ -261,11 +262,11 @@ TEST(Generators, InstancesAreDeterministicInTheSeed) {
     cvr::Rng a(seed), b(seed);
     const SlotProblem pa = gen_slot_problem(a, tie_heavy_config());
     const SlotProblem pb = gen_slot_problem(b, tie_heavy_config());
-    ASSERT_EQ(pa.users.size(), pb.users.size());
+    ASSERT_EQ(pa.user_count(), pb.user_count());
     EXPECT_EQ(pa.server_bandwidth, pb.server_bandwidth);
-    for (std::size_t n = 0; n < pa.users.size(); ++n) {
-      EXPECT_EQ(pa.users[n].rate, pb.users[n].rate);
-      EXPECT_EQ(pa.users[n].delay, pb.users[n].delay);
+    for (std::size_t n = 0; n < pa.user_count(); ++n) {
+      EXPECT_EQ(pa.user(n).rate, pb.user(n).rate);
+      EXPECT_EQ(pa.user(n).delay, pb.user(n).delay);
     }
   }
 }

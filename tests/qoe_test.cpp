@@ -16,7 +16,8 @@ TEST(UserSlotContext, FromRateFunctionBuildsTables) {
   const auto user = make_crf_user(60.0, 0.9, 2.0, 10.0);
   ASSERT_EQ(user.rate.size(), 6u);
   ASSERT_EQ(user.delay.size(), 6u);
-  EXPECT_DOUBLE_EQ(user.delta, 0.9);
+  for (double success : user.success) EXPECT_DOUBLE_EQ(success, 0.9);
+  EXPECT_DOUBLE_EQ(user.weight, 0.9);  // (10 - 1) / 10
   // Rates increasing, delays increasing (convexity of both).
   for (std::size_t i = 1; i < 6; ++i) {
     EXPECT_GT(user.rate[i], user.rate[i - 1]);
@@ -90,7 +91,9 @@ TEST(HIsConcave, FrameLossCanBreakIt) {
   // A loss cliff between mid levels creates a convex kink in the
   // effective value — the Theorem-1 assumption no longer holds.
   auto user = make_crf_user(1000.0, 1.0, 0.0, 1.0);
-  user.frame_loss = {0.0, 0.6, 0.6, 0.0, 0.0, 0.0};  // within B_n = 1000
+  // delta = 1 times (1 - frame loss) {0, 0.6, 0.6, 0, 0, 0}; within
+  // B_n = 1000.
+  user.success = {1.0, 0.4, 0.4, 1.0, 1.0, 1.0};
   EXPECT_FALSE(h_is_concave(user, QoeParams{0.0, 0.0}));
 }
 

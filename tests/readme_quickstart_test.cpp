@@ -12,7 +12,7 @@ TEST(ReadmeQuickstart, CoreSnippetWorksVerbatim) {
   cvr::core::SlotProblem problem;
   problem.params = {/*alpha=*/0.1, /*beta=*/0.5};
   problem.server_bandwidth = 100.0;         // B(t), Mbps
-  problem.users.push_back(cvr::core::UserSlotContext::from_rate_function(
+  problem.push_back(cvr::core::UserSlotContext::from_rate_function(
       f, /*B_n=*/45.0, /*delta=*/0.9, /*qbar=*/3.0, /*slot=*/120.0));
 
   cvr::core::DvGreedyAllocator allocator;   // Algorithm 1
@@ -49,7 +49,7 @@ TEST(ReadmeQuickstart, QuickstartNumbersMatchDocumentedBehaviour) {
   problem.params = {0.1, 0.5};
   problem.server_bandwidth = 100.0;
   for (double bandwidth : {80.0, 45.0, 25.0}) {
-    problem.users.push_back(cvr::core::UserSlotContext::from_rate_function(
+    problem.push_back(cvr::core::UserSlotContext::from_rate_function(
         f, bandwidth, 0.9, 3.0, 120.0));
   }
   cvr::core::DvGreedyAllocator greedy;

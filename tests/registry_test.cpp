@@ -40,7 +40,9 @@ TEST(Registry, ContextSelectsPavqVariant) {
   auto sys_pavq = make_allocator("pavq", AllocatorContext::kSystem);
   SlotProblem rich = testutil::random_problem(1, 4);
   SlotProblem poor = rich;
-  for (auto& user : poor.users) user.user_bandwidth = 21.0;
+  for (std::size_t n = 0; n < poor.user_count(); ++n) {
+    poor.user_bandwidth[n] = 21.0;
+  }
   // Warm both on the rich problem, then hit them with the poor one: the
   // system variant's smoothed view lags.
   for (int t = 0; t < 50; ++t) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace cvr::system {
 namespace {
 
@@ -17,6 +19,18 @@ TileRequest request_for(Server& server, std::size_t u,
   TileRequest request;
   server.make_request(u, level, request);
   return request;
+}
+
+/// The frame-loss estimate per level that a loss-aware build folded
+/// into user u's success lane: success = delta * (1 - loss).
+std::array<double, core::kNumQualityLevels> frame_loss_of(
+    const core::SlotProblem& problem, const Server& server, std::size_t u) {
+  std::array<double, core::kNumQualityLevels> loss{};
+  for (core::QualityLevel q = 1; q <= core::kNumQualityLevels; ++q) {
+    loss[static_cast<std::size_t>(q - 1)] =
+        1.0 - problem.success[problem.at(u, q)] / server.slot_delta(u);
+  }
+  return loss;
 }
 
 TEST(Server, RejectsZeroUsers) {
@@ -55,14 +69,15 @@ TEST(Server, BuildProblemUsesEstimates) {
     server.on_bandwidth_sample(1, 30.0);
   }
   const core::SlotProblem problem = server.build_problem(1);
-  ASSERT_EQ(problem.users.size(), 2u);
+  ASSERT_EQ(problem.user_count(), 2u);
   EXPECT_DOUBLE_EQ(problem.server_bandwidth, 200.0);
-  EXPECT_NEAR(problem.users[0].user_bandwidth, 80.0, 1.0);
-  EXPECT_NEAR(problem.users[1].user_bandwidth, 30.0, 1.0);
+  EXPECT_NEAR(problem.user_bandwidth[0], 80.0, 1.0);
+  EXPECT_NEAR(problem.user_bandwidth[1], 30.0, 1.0);
   // Rate tables populated and increasing.
+  const core::UserSlotContext user = problem.user(0);
   for (std::size_t i = 1; i < 6; ++i) {
-    EXPECT_GT(problem.users[0].rate[i], problem.users[0].rate[i - 1]);
-    EXPECT_GE(problem.users[0].delay[i], problem.users[0].delay[i - 1]);
+    EXPECT_GT(user.rate[i], user.rate[i - 1]);
+    EXPECT_GE(user.delay[i], user.delay[i - 1]);
   }
 }
 
@@ -72,7 +87,8 @@ TEST(Server, DeltaEstimateTracksCoverageFeedback) {
   server.on_pose(0, 0, p);
   for (int i = 0; i < 200; ++i) server.on_coverage_outcome(0, i % 2 == 0);
   const core::SlotProblem problem = server.build_problem(1);
-  EXPECT_NEAR(problem.users[0].delta, 0.5, 0.05);
+  EXPECT_NEAR(problem.success[problem.at(0, 1)], 0.5, 0.05);
+  EXPECT_EQ(server.slot_delta(0), problem.success[problem.at(0, 1)]);
 }
 
 TEST(Server, QbarTracksDisplayedQuality) {
@@ -82,7 +98,7 @@ TEST(Server, QbarTracksDisplayedQuality) {
   server.on_displayed_quality(0, 4.0);
   server.on_displayed_quality(0, 0.0);  // miss counts as 0
   const core::SlotProblem problem = server.build_problem(3);
-  EXPECT_DOUBLE_EQ(problem.users[0].qbar, 2.0);
+  EXPECT_DOUBLE_EQ(problem.qbar[0], 2.0);
 }
 
 TEST(Server, FallbackPrefetchAddsNextCellTiles) {
@@ -278,9 +294,8 @@ TEST(Server, DelaySamplesTrainPredictor) {
   for (int i = 0; i < 50; ++i) server.on_bandwidth_sample(0, 60.0);
   const core::SlotProblem problem = server.build_problem(1);
   // rate(3) ~ 29.9 -> learned delay ~ 0.1 * 29.9^2 ~ 89.
-  EXPECT_NEAR(problem.users[0].delay[2],
-              0.1 * problem.users[0].rate[2] * problem.users[0].rate[2],
-              5.0);
+  EXPECT_NEAR(problem.delay_of(0, 3),
+              0.1 * problem.rate_of(0, 3) * problem.rate_of(0, 3), 5.0);
 }
 
 TEST(Server, LossAwareProblemCarriesFrameLossTable) {
@@ -294,14 +309,13 @@ TEST(Server, LossAwareProblemCarriesFrameLossTable) {
     server.on_loss_sample(0, i / 100.0, 0.002 + 0.05 * (i / 100.0));
   }
   const core::SlotProblem problem = server.build_problem(1);
-  ASSERT_EQ(problem.users[0].frame_loss.size(), 6u);
+  const auto loss = frame_loss_of(problem, server, 0);
   // Higher levels induce higher utilisation -> higher frame loss.
   for (std::size_t i = 1; i < 6; ++i) {
-    EXPECT_GE(problem.users[0].frame_loss[i],
-              problem.users[0].frame_loss[i - 1] - 1e-12);
+    EXPECT_GE(loss[i], loss[i - 1] - 1e-12);
   }
-  EXPECT_GT(problem.users[0].frame_loss[5], 0.0);
-  EXPECT_LT(problem.users[0].frame_loss[0], 1.0);
+  EXPECT_GT(loss[5], 0.0);
+  EXPECT_LT(loss[0], 1.0);
 }
 
 TEST(Server, PublishedModeHasNoFrameLossTable) {
@@ -309,7 +323,9 @@ TEST(Server, PublishedModeHasNoFrameLossTable) {
   motion::Pose p;
   server.on_pose(0, 0, p);
   const core::SlotProblem problem = server.build_problem(1);
-  EXPECT_TRUE(problem.users[0].frame_loss.empty());
+  for (core::QualityLevel q = 1; q <= core::kNumQualityLevels; ++q) {
+    EXPECT_EQ(problem.success[problem.at(0, q)], server.slot_delta(0));
+  }
 }
 
 TEST(Server, TransmitFractionLearnsRepetitionSavings) {
@@ -333,7 +349,7 @@ TEST(Server, TransmitFractionLearnsRepetitionSavings) {
   // With a ~0.05 learned transmit fraction, only a handful of packets
   // are at risk: the level-6 frame-loss estimate collapses far below
   // the full-frame figure (1 - 0.98^143 ~ 0.94 at this loss rate).
-  EXPECT_LT(problem.users[0].frame_loss[5], 0.3);
+  EXPECT_LT(frame_loss_of(problem, server, 0)[5], 0.3);
 }
 
 TEST(Server, RepetitionSuppressionOffResendsEverything) {

@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -103,7 +104,9 @@ TEST(SimdHTable, BitExactAcrossRemainderLaneCounts) {
 TEST(SimdHTable, BitExactWithFrameLoss) {
   SlotProblem problem = random_problem(7, 6);
   for (std::size_t n = 0; n < problem.user_count(); n += 2) {
-    problem.users[n].frame_loss.assign(kNumQualityLevels, 0.25);
+    UserSlotContext user = problem.user(n);
+    for (double& success : user.success) success *= 1.0 - 0.25;  // loss
+    problem.set_user(n, user);
   }
   expect_tables_bit_identical(problem);
 }
@@ -114,13 +117,14 @@ TEST(SimdHTable, BitExactOnDenormalAndExtremeInputs) {
   // land near 2^±1000 and delays go denormal — the kernels must still
   // agree bit for bit (no FTZ/DAZ, no contraction).
   for (std::size_t n = 0; n < problem.user_count(); ++n) {
-    auto& user = problem.users[n];
+    UserSlotContext user = problem.user(n);
     const double scale = n % 2 == 0 ? 0x1p-1000 : 0x1p+600;
     for (double& r : user.rate) r *= scale;
     user.user_bandwidth *= scale;
     if (n % 3 == 0) {
       for (double& d : user.delay) d *= 0x1p-1060;  // denormal range
     }
+    problem.set_user(n, user);
   }
   expect_tables_bit_identical(problem);
 }
@@ -128,7 +132,7 @@ TEST(SimdHTable, BitExactOnDenormalAndExtremeInputs) {
 TEST(SimdHTable, RateValidationThrowsUnderEveryBackend) {
   const BackendGuard guard;
   SlotProblem problem = random_problem(3, 4);
-  problem.users[2].rate[3] = problem.users[2].rate[2];  // non-increasing
+  problem.rate[problem.at(2, 4)] = problem.rate_of(2, 3);  // non-increasing
   for (simd::Backend backend : testable_backends()) {
     simd::set_backend_for_testing(backend);
     HTableSet tables;
@@ -137,11 +141,56 @@ TEST(SimdHTable, RateValidationThrowsUnderEveryBackend) {
   }
 }
 
-TEST(SimdHTable, ShortFrameLossThrowsOutOfRange) {
-  SlotProblem problem = random_problem(5, 40);
-  problem.users[17].frame_loss = {0.1, 0.1};  // shorter than L: throws
-  HTableSet tables;
-  EXPECT_THROW(tables.build(problem), std::out_of_range);
+TEST(SimdHTable, FusedRateCheckKeepsTheMessageUnderEveryBackend) {
+  const BackendGuard guard;
+  SlotProblem problem = random_problem(21, 9);
+  problem.rate[problem.at(8, 6)] = problem.rate_of(8, 5) - 1.0;  // step < 0
+  for (simd::Backend backend : testable_backends()) {
+    simd::set_backend_for_testing(backend);
+    HTableSet tables;
+    try {
+      tables.build(problem);
+      ADD_FAILURE() << "no throw under " << simd::backend_name(backend);
+    } catch (const std::logic_error& error) {
+      EXPECT_STREQ(error.what(), "HTable: rates must be strictly increasing")
+          << simd::backend_name(backend);
+    }
+  }
+}
+
+TEST(SimdHTable, FusedRateCheckLetsANanStepThrough) {
+  // h_density's `dr <= 0` is false for NaN, so a NaN step is not
+  // flagged — the dv-heap's NaN cut-off handling depends on it.
+  const BackendGuard guard;
+  SlotProblem problem = random_problem(22, 7);
+  problem.rate[problem.at(3, 4)] = std::numeric_limits<double>::quiet_NaN();
+  for (simd::Backend backend : testable_backends()) {
+    simd::set_backend_for_testing(backend);
+    HTableSet tables;
+    EXPECT_NO_THROW(tables.build(problem)) << simd::backend_name(backend);
+  }
+}
+
+TEST(SimdHTable, FusedRateCheckNeverFlagsAPadLane) {
+  // Lane 6 of a 7-user problem (stride 8) holds a flat step; once the
+  // problem shrinks to 6 users, lane 6 is a pad again and must not flag,
+  // and growing back past the stride must not flag the new pads either.
+  const BackendGuard guard;
+  for (simd::Backend backend : testable_backends()) {
+    simd::set_backend_for_testing(backend);
+    SlotProblem problem = random_problem(23, 7);
+    problem.rate[problem.at(6, 3)] = problem.rate_of(6, 2);
+    HTableSet tables;
+    EXPECT_THROW(tables.build(problem), std::logic_error)
+        << simd::backend_name(backend);
+    problem.resize(6);
+    EXPECT_NO_THROW(tables.build(problem)) << simd::backend_name(backend);
+    problem.push_back(testutil::make_grid_user(40.0));
+    problem.push_back(testutil::make_grid_user(40.0));
+    problem.push_back(testutil::make_grid_user(40.0));  // 9 users, stride 12
+    EXPECT_NO_THROW(tables.build(problem)) << simd::backend_name(backend);
+    EXPECT_EQ(problem.stride(), 12u);
+  }
 }
 
 TEST(SimdGreedy, AllocationsIdenticalAcrossBackends) {

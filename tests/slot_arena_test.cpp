@@ -83,9 +83,10 @@ void fill_slot(SlotArena& arena, std::size_t users, std::size_t t,
   for (std::size_t u = 0; u < users; ++u) {
     const content::CrfRateFunction f(
         14.2, 1.45, 1.0 + 0.05 * static_cast<double>(u + t));
-    problem.users[u] = UserSlotContext::from_rate_function(
-        f, 40.0 + 5.0 * static_cast<double>(u), 0.9,
-        0.5 * static_cast<double>(t), static_cast<double>(t + 1));
+    problem.set_user(u, UserSlotContext::from_rate_function(
+                            f, 40.0 + 5.0 * static_cast<double>(u), 0.9,
+                            0.5 * static_cast<double>(t),
+                            static_cast<double>(t + 1)));
   }
   out = &problem;
 }
@@ -99,7 +100,7 @@ SlotProblem fresh_slot(std::size_t users, std::size_t t) {
   for (std::size_t u = 0; u < users; ++u) {
     const content::CrfRateFunction f(
         14.2, 1.45, 1.0 + 0.05 * static_cast<double>(u + t));
-    problem.users.push_back(UserSlotContext::from_rate_function(
+    problem.push_back(UserSlotContext::from_rate_function(
         f, 40.0 + 5.0 * static_cast<double>(u), 0.9,
         0.5 * static_cast<double>(t), static_cast<double>(t + 1)));
   }
@@ -117,13 +118,14 @@ TEST(SlotArena, TwoConsecutiveSlotsEqualTwoFreshProblems) {
     const SlotProblem fresh = fresh_slot(8, t);
     ASSERT_EQ(problem->user_count(), fresh.user_count());
     for (std::size_t u = 0; u < fresh.user_count(); ++u) {
-      EXPECT_EQ(problem->users[u].rate, fresh.users[u].rate);
-      EXPECT_EQ(problem->users[u].delay, fresh.users[u].delay);
-      EXPECT_EQ(problem->users[u].delta, fresh.users[u].delta);
-      EXPECT_EQ(problem->users[u].qbar, fresh.users[u].qbar);
-      EXPECT_EQ(problem->users[u].slot, fresh.users[u].slot);
-      EXPECT_EQ(problem->users[u].user_bandwidth,
-                fresh.users[u].user_bandwidth);
+      const UserSlotContext recycled_user = problem->user(u);
+      const UserSlotContext fresh_user = fresh.user(u);
+      EXPECT_EQ(recycled_user.rate, fresh_user.rate);
+      EXPECT_EQ(recycled_user.delay, fresh_user.delay);
+      EXPECT_EQ(recycled_user.success, fresh_user.success);
+      EXPECT_EQ(recycled_user.qbar, fresh_user.qbar);
+      EXPECT_EQ(recycled_user.weight, fresh_user.weight);
+      EXPECT_EQ(recycled_user.user_bandwidth, fresh_user.user_bandwidth);
     }
     arena_alloc.allocate_into(*problem, recycled);
     const Allocation direct = fresh_alloc.allocate(fresh);
@@ -136,16 +138,16 @@ TEST(SlotArena, ShrinkThenGrowKeepsEntriesOverwritten) {
   SlotArena arena;
   SlotProblem* problem = nullptr;
   fill_slot(arena, 10, 0, problem);
-  const double rate_before = problem->users[7].rate[3];
+  const double rate_before = problem->rate_of(7, 4);
   fill_slot(arena, 4, 1, problem);   // churn down
   fill_slot(arena, 10, 2, problem);  // back up: entries 4..9 recycled
   EXPECT_EQ(problem->user_count(), 10u);
   const SlotProblem fresh = fresh_slot(10, 2);
   for (std::size_t u = 0; u < 10; ++u) {
-    EXPECT_EQ(problem->users[u].rate, fresh.users[u].rate) << "user " << u;
+    EXPECT_EQ(problem->user(u).rate, fresh.user(u).rate) << "user " << u;
   }
   // Sanity: slot 2 differs from slot 0, so the check above is not vacuous.
-  EXPECT_NE(problem->users[7].rate[3], rate_before);
+  EXPECT_NE(problem->rate_of(7, 4), rate_before);
 }
 
 /// The acceptance check: once capacities have stabilised, a full
@@ -262,7 +264,7 @@ TEST(ZeroAllocation, ServerBuildAndRequestSteadyState) {
       server.make_request(u, level, requests[u]);
     }
   });
-  EXPECT_EQ(problem.users.size(), kUsers);
+  EXPECT_EQ(problem.user_count(), kUsers);
   EXPECT_FALSE(requests[0].full_set.empty());
   EXPECT_EQ(allocations, 0u) << "heap allocations in 10 steady-state slots";
 }
