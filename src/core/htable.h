@@ -30,8 +30,8 @@
 // element-for-element identical; see src/core/simd.h for the dispatch
 // rules). The same pass checks that every rate step is positive.
 // `HTable` is a thin strided VIEW into the set's output planes, which
-// dv-greedy (scan and heap), fractional, lagrangian, the exact solvers
-// and PAVQ's objective read.
+// dv-greedy (scan and heap), fractional, lagrangian and the exact
+// solvers read.
 #pragma once
 
 #include <cassert>

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core_test_util.h"
+#include "src/core/simd.h"
 
 namespace cvr::core {
 namespace {
@@ -17,6 +21,55 @@ SlotProblem two_user_problem() {
   problem.push_back(make_grid_user(25.0));
   problem.server_bandwidth = 40.0;
   return problem;
+}
+
+TEST(SlotProblemLanes, PushBackAcrossTheStrideKeepsEveryLane) {
+  SlotProblem problem;
+  std::vector<UserSlotContext> users;
+  for (std::size_t n = 0; n < 9; ++n) {
+    UserSlotContext user = make_crf_user(30.0 + static_cast<double>(n),
+                                         0.5 + 0.05 * static_cast<double>(n),
+                                         1.5, 3.0 + static_cast<double>(n));
+    user.success[2] *= 0.75;  // a per-level (loss-aware) entry
+    users.push_back(user);
+    problem.push_back(user);
+    ASSERT_EQ(problem.user_count(), n + 1);
+    ASSERT_EQ(problem.stride(), simd::padded(n + 1));
+    for (std::size_t i = 0; i <= n; ++i) {
+      const UserSlotContext lane = problem.user(i);
+      EXPECT_EQ(lane.success, users[i].success) << n << " " << i;
+      EXPECT_EQ(lane.weight, users[i].weight);
+      EXPECT_EQ(lane.qbar, users[i].qbar);
+      EXPECT_EQ(lane.user_bandwidth, users[i].user_bandwidth);
+      EXPECT_EQ(lane.rate, users[i].rate);
+      EXPECT_EQ(lane.delay, users[i].delay);
+    }
+  }
+  problem.erase(4);
+  users.erase(users.begin() + 4);
+  ASSERT_EQ(problem.stride(), 8u);
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    EXPECT_EQ(problem.user(i).rate, users[i].rate);
+    EXPECT_EQ(problem.user(i).success, users[i].success);
+  }
+  EXPECT_THROW(problem.user(8), std::out_of_range);
+}
+
+TEST(SlotProblemLanes, ResizeRewritesEveryPadLane) {
+  SlotProblem problem;
+  problem.resize(7);
+  for (std::size_t n = 0; n < 7; ++n) problem.set_user(n, make_grid_user(99.0));
+  problem.resize(5);  // lanes 5..7 become pads again
+  for (std::size_t i = 5; i < problem.stride(); ++i) {
+    EXPECT_EQ(problem.weight[i], 0.0);
+    EXPECT_EQ(problem.qbar[i], 0.0);
+    EXPECT_EQ(problem.user_bandwidth[i], 0.0);
+    for (QualityLevel q = 1; q <= kNumQualityLevels; ++q) {
+      EXPECT_EQ(problem.success[problem.at(i, q)], 1.0);
+      EXPECT_EQ(problem.rate[problem.at(i, q)], static_cast<double>(q));
+      EXPECT_EQ(problem.delay[problem.at(i, q)], 0.0);
+    }
+  }
 }
 
 TEST(Evaluate, SumsPerUserH) {
