@@ -40,8 +40,9 @@ struct SlotProblemGenConfig {
   /// Probability of quantizing all rates/bandwidths to a coarse 0.25
   /// grid, which makes exactly-on-the-cap budget boundaries common.
   double quantize_probability = 0.0;
-  /// Probability of attaching a Section-VIII frame_loss table (may
-  /// break h's concavity; keep 0 for properties that assume it).
+  /// Probability of folding a Section-VIII frame loss into a user's
+  /// success lane, delta * (1 - loss) per level (may break h's
+  /// concavity; keep 0 for properties that assume it).
   double loss_aware_probability = 0.0;
   /// Only build rate/delay tables analytically (CRF rate function +
   /// M/M/1 delay); required by the concavity property. When false,
