@@ -36,12 +36,17 @@ double ContentDb::tile_weight(const GridCell& cell, int tile_index) const {
   if (tile_index < 0 || tile_index >= kTilesPerFrame) {
     throw std::out_of_range("ContentDb: bad tile index");
   }
+  double raw[kTilesPerFrame];
+  const double total = raw_tile_weights(content_id(cell), raw);
+  return raw[tile_index] / total;
+}
+
+double ContentDb::raw_tile_weights(std::uint64_t id,
+                                   double (&raw)[kTilesPerFrame]) const {
   // Deterministic per-(cell, tile) complexity draws, normalised within
   // the frame. Weights live in roughly [0.5, 1.5]/4 so no tile is
   // degenerate (the encoder always spends *something* on a quarter of
   // the panorama).
-  const std::uint64_t id = content_id(cell);
-  double raw[kTilesPerFrame];
   double total = 0.0;
   for (int tile = 0; tile < kTilesPerFrame; ++tile) {
     cvr::SplitMix64 mixer(config_.seed ^
@@ -52,7 +57,7 @@ double ContentDb::tile_weight(const GridCell& cell, int tile_index) const {
     raw[tile] = 0.5 + unit;  // [0.5, 1.5)
     total += raw[tile];
   }
-  return raw[tile_index] / total;
+  return total;
 }
 
 double ContentDb::tile_size_megabits(const TileKey& key) const {
@@ -85,8 +90,12 @@ const CellContent& ContentDb::cell_content(const GridCell& cell) const {
     cc.rate[idx] = f.rate(q);
     cc.frame_megabits[idx] = cvr::slot_rate_to_megabits(cc.rate[idx]);
   }
+  // One set of draws for the whole frame: the same raw weights, total
+  // and division as tile_weight(cell, tile).
+  double raw[kTilesPerFrame];
+  const double total = raw_tile_weights(id, raw);
   for (int tile = 0; tile < kTilesPerFrame; ++tile) {
-    cc.weight[static_cast<std::size_t>(tile)] = tile_weight(cell, tile);
+    cc.weight[static_cast<std::size_t>(tile)] = raw[tile] / total;
   }
   cell_index_.insert(id, entry);
   return cc;

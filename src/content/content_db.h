@@ -66,7 +66,10 @@ class ContentDb {
   /// derives everything through the exact expressions of
   /// frame_rate_function()/tile_weight(); later touches are one flat
   /// hash probe. The returned reference stays valid for the db's
-  /// lifetime (entries never move). NOT safe for concurrent calls on
+  /// lifetime, and across moves of the db: entries live in heap chunks
+  /// of kCellsPerChunk that are never reallocated, so an entry's address
+  /// is stable and callers may hold a pointer to it (the server's
+  /// per-user predicted view does). NOT safe for concurrent calls on
   /// one instance (the fleet gives each server its own ContentDb).
   /// Throws std::out_of_range outside the scene.
   const CellContent& cell_content(const GridCell& cell) const;
@@ -81,6 +84,11 @@ class ContentDb {
   const ContentDbConfig& config() const { return config_; }
 
  private:
+  /// Draws the four raw tile weights of content `id` into `raw` and
+  /// returns their sum, accumulated in tile order.
+  double raw_tile_weights(std::uint64_t id,
+                          double (&raw)[kTilesPerFrame]) const;
+
   ContentDbConfig config_;
   ContentRateModel model_;
   /// Memo entries per chunk: the memo allocates once per this many
@@ -105,6 +113,11 @@ class ContentDb {
 class TilePricer {
  public:
   explicit TilePricer(const ContentDb& db) : db_(&db) {}
+  /// A pricer primed with `cell`, whose memo entry `content` must be
+  /// db.cell_content(cell): ids of that cell then price with no lookup.
+  TilePricer(const ContentDb& db, const GridCell& cell,
+             const CellContent& content)
+      : db_(&db), cell_(cell), content_(&content) {}
 
   double megabits(VideoId id);
 

@@ -143,6 +143,21 @@ bool FaultSchedule::any_fault_for_user(std::size_t user, std::size_t router,
          any_active(row(FaultType::kCacheFlush, 0), slot);
 }
 
+UserFaults FaultSchedule::user_faults(std::size_t user, std::size_t router,
+                                      std::size_t slot) const {
+  UserFaults flags;
+  if (events_.empty()) return flags;
+  flags.disconnected =
+      any_active(row(FaultType::kUserDisconnect, user), slot);
+  flags.pose_blackout = any_active(row(FaultType::kPoseBlackout, user), slot);
+  flags.ack_stalled = any_active(row(FaultType::kAckStall, user), slot);
+  flags.any = flags.disconnected || flags.pose_blackout ||
+              flags.ack_stalled ||
+              any_active(row(FaultType::kRouterOutage, router), slot) ||
+              any_active(row(FaultType::kCacheFlush, 0), slot);
+  return flags;
+}
+
 std::size_t FaultSchedule::horizon() const {
   std::size_t end = 0;
   for (const FaultEvent& e : events_) end = std::max(end, e.end_slot());

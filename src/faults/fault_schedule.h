@@ -93,6 +93,16 @@ struct FaultEvent {
   }
 };
 
+/// One user's fault flags for one slot (FaultSchedule::user_faults).
+struct UserFaults {
+  bool disconnected = false;   ///< user_disconnected
+  bool pose_blackout = false;  ///< pose_blackout
+  bool ack_stalled = false;    ///< ack_stalled
+  bool any = false;            ///< any_fault_for_user
+
+  friend bool operator==(const UserFaults&, const UserFaults&) = default;
+};
+
 class FaultSchedule {
  public:
   FaultSchedule() = default;
@@ -137,6 +147,13 @@ class FaultSchedule {
   /// slots into the recovery window itself.
   bool any_fault_for_user(std::size_t user, std::size_t router,
                           std::size_t slot) const;
+
+  /// The four per-user answers above for one (user, router, slot), from
+  /// one scan of each row involved: field for field equal to
+  /// user_disconnected, pose_blackout, ack_stalled and
+  /// any_fault_for_user. The slot step asks this once per member.
+  UserFaults user_faults(std::size_t user, std::size_t router,
+                         std::size_t slot) const;
 
   /// Largest end_slot across events (0 when empty).
   std::size_t horizon() const;

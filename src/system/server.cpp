@@ -52,19 +52,44 @@ void Server::on_pose(std::size_t u, std::size_t t, const motion::Pose& pose) {
   user.last_pose = pose;
   user.has_pose = true;
   user.last_pose_slot = t;
+  user.view_valid = false;
+}
+
+const Server::PredictedView& Server::predicted_view(
+    const UserState& user) const {
+  if (user.view_valid) return user.view;
+  PredictedView& view = user.view;
+  if (!user.has_pose) {
+    view.pose = motion::Pose{};
+  } else if (user.pose_stale) {
+    // Persistence fallback: extrapolating a regression fitted to
+    // pre-blackout motion diverges without bound as the gap grows, so a
+    // pose-stale user is predicted exactly where they were last seen.
+    view.pose = user.last_pose;
+  } else {
+    // Poses arrive one slot late; the content is displayed one slot
+    // after transmission (Section V pipeline), so predict two slots
+    // ahead of the newest pose on record.
+    view.pose = user.predictor->predict(2);
+  }
+  // Users cross a 5 cm cell only every few slots: keep the entry while
+  // the cell holds.
+  const content::GridCell cell = clamped_cell(view.pose.x, view.pose.y);
+  if (view.content == nullptr || !(cell == view.cell)) {
+    view.content = &content_db_.cell_content(cell);
+    view.cell = cell;
+  }
+  user.view_valid = true;
+  return view;
 }
 
 motion::Pose Server::predict_pose(std::size_t u) const {
-  const UserState& user = users_.at(u);
-  if (!user.has_pose) return motion::Pose{};
-  // Persistence fallback: extrapolating a regression fitted to
-  // pre-blackout motion diverges without bound as the gap grows, so a
-  // pose-stale user is predicted exactly where they were last seen.
-  if (user.pose_stale) return user.last_pose;
-  // Poses arrive one slot late; the content is displayed one slot after
-  // transmission (Section V pipeline), so predict two slots ahead of the
-  // newest pose on record.
-  return user.predictor->predict(2);
+  return predicted_view(users_.at(u)).pose;
+}
+
+content::TilePricer Server::tile_pricer(std::size_t u) const {
+  const PredictedView& v = predicted_view(users_.at(u));
+  return content::TilePricer(content_db_, v.cell, *v.content);
 }
 
 void Server::on_bandwidth_sample(std::size_t u, double mbps) {
@@ -166,15 +191,17 @@ void Server::fill_user_lane(std::size_t t, std::size_t u,
   const std::size_t pose_age = user.has_pose
                                    ? t - std::min(t, user.last_pose_slot)
                                    : t;
-  user.pose_stale = pose_age > config_.pose_staleness_slots;
+  const bool pose_stale = pose_age > config_.pose_staleness_slots;
+  if (pose_stale != user.pose_stale) {
+    user.pose_stale = pose_stale;
+    user.view_valid = false;  // the prediction switches model
+  }
   const std::size_t silent = t - std::min(t, user.last_feedback_slot);
   const bool feedback_stale = silent > config_.feedback_staleness_slots;
   user.safe_mode = user.pose_stale || feedback_stale;
   if (user.safe_mode) ++user.safe_mode_slot_count;
 
-  const motion::Pose predicted = predict_pose(u);
-  const content::GridCell cell = clamped_cell(predicted.x, predicted.y);
-  const content::CellContent& cc = content_db_.cell_content(cell);
+  const content::CellContent& cc = *predicted_view(user).content;
   // HEVC realism (docs/workloads.md): the allocator prices this slot's
   // frame at its realized I/P-frame size, not the smooth CRF mean. One
   // process step per problem build keeps the stream aligned with the
@@ -323,13 +350,14 @@ void Server::import_handoff(std::size_t u, const proto::UserHandoff& frame,
     user.last_pose_slot = frame.pose_slot;
   }
   user.last_feedback_slot = now_slot;
+  user.view_valid = false;
   if (config_.adaptive_margin) {
     user.margin.update(user.accuracy.estimate());
   }
 }
 
 void Server::reset_user(std::size_t u) {
-  users_.at(u) = UserState(config_);
+  users_.at(u) = UserState(config_);  // predicted view invalid too
   if (!hevc_.empty()) {
     // The codec process restarts from its seed: a crash-wiped user's
     // stream re-opens with a fresh GoP.
@@ -369,9 +397,7 @@ core::UserSlotContext Server::candidate_context(const proto::UserHandoff& frame,
 double Server::mandatory_load(const std::vector<std::size_t>& members) const {
   double total = 0.0;
   for (std::size_t u : members) {
-    const motion::Pose predicted = predict_pose(u);
-    const content::GridCell cell = clamped_cell(predicted.x, predicted.y);
-    total += content_db_.cell_content(cell).rate[0];
+    total += predicted_view(users_.at(u)).content->rate[0];
   }
   return total;
 }
@@ -382,8 +408,9 @@ void Server::make_request(std::size_t u, core::QualityLevel level,
   if (!content::is_valid_level(level)) {
     throw std::out_of_range("Server::make_request: invalid level");
   }
-  const motion::Pose predicted = predict_pose(u);
-  const content::GridCell cell = clamped_cell(predicted.x, predicted.y);
+  const PredictedView& view = predicted_view(user);
+  const motion::Pose& predicted = view.pose;
+  const content::GridCell cell = view.cell;
 
   request.reset(level);
   int tile_indices[content::kTilesPerFrame];
@@ -400,7 +427,7 @@ void Server::make_request(std::size_t u, core::QualityLevel level,
   }
 
   // Megabits of ids[begin, end), summed in order.
-  content::TilePricer pricer(content_db_);
+  content::TilePricer pricer(content_db_, cell, *view.content);
   auto set_megabits = [&](const std::vector<content::VideoId>& ids,
                           std::size_t begin, std::size_t end) {
     double total = 0.0;

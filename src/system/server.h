@@ -155,6 +155,10 @@ class Server {
   /// Server-side pose prediction for the upcoming slot.
   motion::Pose predict_pose(std::size_t u) const;
 
+  /// A tile pricer primed with user `u`'s predicted cell, so the tiles
+  /// of u's request price with no content-DB lookup.
+  content::TilePricer tile_pricer(std::size_t u) const;
+
   /// Feeds the bandwidth sample measured for user `u` (Mbps).
   void on_bandwidth_sample(std::size_t u, double mbps);
 
@@ -276,6 +280,15 @@ class Server {
   motion::FovSpec fov_for(std::size_t u) const;
 
  private:
+  /// What the upcoming slot looks like from user `u`'s newest pose:
+  /// predict_pose's answer, its clamped grid cell and that cell's
+  /// content-DB entry (which never moves; see ContentDb::cell_content).
+  struct PredictedView {
+    motion::Pose pose;
+    content::GridCell cell{};
+    const content::CellContent* content = nullptr;
+  };
+
   struct UserState {
     std::unique_ptr<motion::MotionPredictor> predictor;
     motion::AccuracyEstimator accuracy;
@@ -309,11 +322,21 @@ class Server {
     // suppression means only this fraction of a frame's packets is at
     // loss risk in a slot.
     double transmit_fraction = 1.0;
+    // The predicted view, computed on first use (predicted_view()) and
+    // valid until the prediction's inputs change: a pose arrives
+    // (on_pose), pose_stale flips (fill_user_lane), or the state is
+    // replaced (import_handoff, reset_user). Invalidation keeps the cell
+    // and its content pointer, which the recomputation reuses while the
+    // cell is unchanged. mutable: a cache behind the const accessors.
+    mutable PredictedView view;
+    mutable bool view_valid = false;
 
     explicit UserState(const ServerConfig& config);
   };
 
   content::GridCell clamped_cell(double x, double y) const;
+  /// `user`'s predicted view, recomputed only after an invalidation.
+  const PredictedView& predicted_view(const UserState& user) const;
   /// Per-user body of build_problem_for: writes user u's lane i.
   void fill_user_lane(std::size_t t, std::size_t u, core::SlotProblem& out,
                       std::size_t i);

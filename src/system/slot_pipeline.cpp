@@ -117,6 +117,7 @@ SimRun::SimRun(const SystemSimConfig& config, std::size_t repeat,
       worlds(build_user_worlds(config, repeat)),
       cap(config.users, core::kNumQualityLevels),
       member_index(config.users, 0),
+      user_faults(config.users),
       requests(config.users),
       granted(config.users, 0.0) {
   unmargined.margin_deg = 0.0;
@@ -168,28 +169,25 @@ void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
   const std::int64_t slot = static_cast<std::int64_t>(t);
   const std::vector<std::size_t>& members = edge.members;
 
+  // Each member's fault flags, once per slot.
+  for (std::size_t u : members) {
+    run.user_faults[u] = faults.user_faults(u, run.net.router_of[u], t);
+  }
+
   // Pose upload over the TCP side channel: one slot of latency, every
   // pose_upload_period-th slot ("upload the trace to the server
-  // through TCP periodically"). The message rides the real wire format
-  // (encode -> decode through the server's recycled frame), so the
-  // protocol codec is exercised by every simulated upload.
+  // through TCP periodically"). The one-slot delay is the channel; the
+  // pose reaches the server by value (the wire format's lossless
+  // round trip is pinned by the proto tests).
   if (t >= 1 && (t - 1) % config.pose_upload_period == 0) {
     telemetry::PhaseSpan ingest_span(telemetry, telemetry::Phase::kPoseIngest,
                                      telemetry::Collector::kServerPid, slot);
     for (std::size_t u : members) {
       // A disconnected or pose-blacked-out user uploads nothing; the
       // server's staleness watchdog takes it from here.
-      if (faults.user_disconnected(u, t) || faults.pose_blackout(u, t)) {
-        continue;
-      }
-      proto::PoseUpdate upload;
-      upload.user = static_cast<std::uint32_t>(u);
-      upload.slot = t - 1;
-      upload.pose = run.worlds[u].trace[t - 1];
-      proto::encode(upload, edge.pose_wire);
-      proto::PoseUpdate received;
-      proto::decode(edge.pose_wire, received);
-      edge.server.on_pose(received.user, received.slot, received.pose);
+      const faults::UserFaults& flags = run.user_faults[u];
+      if (flags.disconnected || flags.pose_blackout) continue;
+      edge.server.on_pose(u, t - 1, run.worlds[u].trace[t - 1]);
       if (telemetry != nullptr) {
         telemetry->count(telemetry::Counter::kPoseUploads);
       }
@@ -238,7 +236,7 @@ void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
     for (std::size_t i = 0; i < members.size(); ++i) {
       const std::size_t u = members[i];
       TileRequest& request = run.requests[u];
-      if (faults.user_disconnected(u, t)) {
+      if (run.user_faults[u].disconnected) {
         // No device on the network: nothing to request, zero demand, and
         // the server's per-user caches stay untouched for the window.
         request.reset(levels[i]);
@@ -302,13 +300,13 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
   const core::QualityLevel level = edge.allocation.levels[i];
   const double delta_estimate = edge.server.slot_delta(u);
   const double bandwidth_estimate = edge.arena.problem().user_bandwidth[i];
-  if (config.faults.user_disconnected(u, t)) {
+  const faults::UserFaults& flags = run.user_faults[u];
+  if (flags.disconnected) {
     serve_absent_user(run, u, t, level, delta_estimate, bandwidth_estimate);
     return;
   }
-  const bool ack_stalled = config.faults.ack_stalled(u, t);
+  const bool ack_stalled = flags.ack_stalled;
   const std::size_t router = run.net.router_of[u];
-  const bool in_fault = config.faults.any_fault_for_user(u, router, t);
   Server& server = edge.server;
   UserWorld& world = run.worlds[u];
   const TileRequest& request = run.requests[u];
@@ -344,7 +342,7 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
   {
     telemetry::PhaseSpan tx_span(telemetry, telemetry::Phase::kTransport,
                                  telemetry::Collector::user_pid(u), slot);
-    content::TilePricer pricer(server.content_db());
+    content::TilePricer pricer = server.tile_pricer(u);
     for (content::VideoId id : request.tiles) {
       const double megabits = pricer.megabits(id);
       const auto tx =
@@ -441,7 +439,7 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
   world.qoe.record_displayed(level, displayed_quality,
                              std::min(delay_ms, config.delay_accounting_cap_ms));
   if (coverage_hit) ++world.hits;
-  world.recovery.record_slot(in_fault, viewed, displayed_quality,
+  world.recovery.record_slot(flags.any, viewed, displayed_quality,
                              outcome.frame_on_time);
   if (telemetry != nullptr) {
     if (coverage_hit) telemetry->count(telemetry::Counter::kCoverageHits);
@@ -472,19 +470,16 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
     world.delivery_channel.drop_until(t + 1);
     world.release_channel.drop_until(t + 1);
   }
-  // ACKs cross the TCP side channel in wire format; with the default
+  // ACKs cross the TCP side channel by value; with the default
   // zero-latency channel a healthy slot's send/receive round-trip is
-  // exactly a direct delivery. Each message is encoded and decoded
-  // back over itself (every field is overwritten from the wire bytes);
-  // the message, frame and receive vectors are recycled scratch, and
-  // copy-assignment keeps the tile vectors' capacity.
+  // exactly a direct delivery. The messages and receive vectors are
+  // recycled scratch, and copy-assignment keeps the tile vectors'
+  // capacity.
   if (!outcome.delivery_acks.empty()) {
     proto::DeliveryAck& ack = scratch.delivery_ack;
     ack.user = static_cast<std::uint32_t>(u);
     ack.slot = t;
     ack.tiles = outcome.delivery_acks;
-    proto::encode(ack, scratch.wire);
-    proto::decode(scratch.wire, ack);
     world.delivery_channel.send(t, ack);
   }
   if (!outcome.release_acks.empty()) {
@@ -492,8 +487,6 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
     ack.user = static_cast<std::uint32_t>(u);
     ack.slot = t;
     ack.tiles = outcome.release_acks;
-    proto::encode(ack, scratch.wire);
-    proto::decode(scratch.wire, ack);
     world.release_channel.send(t, ack);
   }
   for (const proto::DeliveryAck& ack :

@@ -20,6 +20,7 @@
 #include "src/core/allocator.h"
 #include "src/core/qoe.h"
 #include "src/core/slot_arena.h"
+#include "src/faults/fault_schedule.h"
 #include "src/faults/recovery.h"
 #include "src/net/ack_channel.h"
 #include "src/net/rtp_transport.h"
@@ -42,9 +43,9 @@ struct UserWorld {
   net::RtpTransport transport;
   core::UserQoeAccumulator qoe;
   std::size_t hits = 0;
-  // ACKs ride a zero-latency side channel so a fault can black it
-  // out; with no blackout the send/receive round-trip inside one slot
-  // is exactly the old direct call.
+  // ACKs ride a zero-latency side channel, by value, so a fault can
+  // black it out; with no blackout the send/receive round-trip inside
+  // one slot is exactly a direct call.
   net::AckChannel<proto::DeliveryAck> delivery_channel{0};
   net::AckChannel<proto::ReleaseAck> release_channel{0};
   faults::RecoveryTracker recovery;
@@ -96,6 +97,10 @@ class SimRun {
   std::vector<core::QualityLevel> cap;
   /// Each served user's index into its server's problem and allocation.
   std::vector<std::size_t> member_index;
+  /// This slot's fault flags per user, asked of the schedule once per
+  /// member by step_server before its pose ingest; the ingest, the
+  /// request loop and serve_member read them.
+  std::vector<faults::UserFaults> user_faults;
   /// This slot's tile request per user, rewritten in place each slot.
   std::vector<TileRequest> requests;
   // Written by serve_routers, after every step_server of the slot.
@@ -109,26 +114,24 @@ class SimRun {
   /// slot to slot so a served user makes no heap allocation in steady
   /// state: the client's delivery (a view of the request's tiles plus
   /// per-tile completeness), the actual-FoV tiles, the client's
-  /// outcome, and the ACK wire round trip (each message is encoded to
-  /// `wire` and decoded back over itself, and the channels drain into
-  /// the receive vectors).
+  /// outcome, the outgoing ACK messages (filled in place and sent by
+  /// value), and the receive vectors the ACK channels drain into.
   struct ServeScratch {
     SlotDelivery delivery;
     std::vector<content::VideoId> needed;
     DisplayOutcome outcome;
     proto::DeliveryAck delivery_ack;
     proto::ReleaseAck release_ack;
-    proto::Buffer wire;
     std::vector<proto::DeliveryAck> delivery_received;
     std::vector<proto::ReleaseAck> release_received;
   } serve;
 };
 
 /// One edge server and its per-slot working storage: the arena recycles
-/// the SlotProblem the server builds into, the allocation keeps its
-/// levels capacity and the pose frame its bytes, so the pose ingest ->
-/// estimate -> allocate hot path stays heap-allocation-free in steady
-/// state (see src/core/slot_arena.h).
+/// the SlotProblem the server builds into and the allocation keeps its
+/// levels capacity, so the pose ingest -> estimate -> allocate hot path
+/// stays heap-allocation-free in steady state (see
+/// src/core/slot_arena.h).
 struct EdgeServer {
   EdgeServer(const ServerConfig& config, std::size_t users)
       : server(config, users) {}
@@ -139,20 +142,19 @@ struct EdgeServer {
   /// The users this server serves this slot, in problem order.
   std::vector<std::size_t> members;
   double budget = 0.0;  ///< This slot's server bandwidth B (constraint (6)).
-  /// Pose-upload frame, recycled across uploads.
-  proto::Buffer pose_wire;
 };
 
 /// Applies the slot's router fault multipliers and steps every router.
 void step_routers(AccessNetwork& net, const faults::FaultSchedule& faults,
                   std::size_t t);
 
-/// One edge server's slot t: pose ingest for its members (on upload
-/// slots), the budget, the problem build, the members' level caps,
+/// One edge server's slot t: its members' fault flags
+/// (run.user_faults), pose ingest for its members (on upload slots),
+/// the budget, the problem build, the members' level caps,
 /// `allocator`'s solve, each member's tile request (an idle one for a
 /// disconnected user) and, with online rendering, the render farm.
-/// Writes run.member_index and run.requests for the members only and
-/// draws nothing from run.rng. A server with no members solves nothing.
+/// Writes run.user_faults, run.member_index and run.requests for the
+/// members only and draws nothing from run.rng. A server with no members solves nothing.
 void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
                  std::size_t t);
 
@@ -161,7 +163,8 @@ void step_server(SimRun& run, EdgeServer& edge, core::Allocator& allocator,
 /// returns run.granted.
 const std::vector<double>& serve_routers(SimRun& run, std::int64_t slot);
 
-/// Serves member `u` of `edge` its slot t, given the router's grant. A
+/// Serves member `u` of `edge` its slot t, given the router's grant,
+/// after `edge`'s step_server of slot t (it reads run.user_faults). A
 /// disconnected user goes through serve_absent_user. A connected one
 /// takes the full path: realized delay, RTP transmission, ground-truth
 /// coverage, decode, footnote-1 fallback, QoE + recovery accounting,

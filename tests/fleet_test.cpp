@@ -26,6 +26,7 @@
 #include "src/fleet/assignment.h"
 #include "src/fleet/backoff.h"
 #include "src/fleet/fleet_sim.h"
+#include "src/system/slot_pipeline.h"
 #include "src/system/system_sim.h"
 #include "src/system/timeline.h"
 #include "src/telemetry/telemetry.h"
@@ -268,6 +269,82 @@ TEST(FleetCrash, PartitionFreezesMigrationInAndOut) {
     EXPECT_EQ(o.migrations, 0.0);
     EXPECT_TRUE(std::isfinite(o.avg_qoe));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The slot step asks the fault schedule once per member per slot; every
+// later reader of the flags sees exactly the schedule's answers.
+
+TEST(FleetFaultFlags, StepServerRecordsTheScheduleAnswers) {
+  constexpr std::size_t kUsers = 12;
+  constexpr std::size_t kServers = 3;
+  constexpr std::size_t kSlots = 300;
+  std::size_t seen_disconnected = 0;
+  std::size_t seen_blackout = 0;
+  std::size_t seen_stalled = 0;
+  std::size_t seen_any_other = 0;  ///< Outage or flush only.
+  for (std::uint64_t seed : {3u, 17u, 2022u}) {
+    SCOPED_TRACE("schedule seed " + std::to_string(seed));
+    system::SystemSimConfig config = system::setup_two_routers(kUsers);
+    config.slots = kSlots;
+    faults::FaultScheduleConfig chaos;
+    chaos.users = kUsers;
+    chaos.routers = config.routers;
+    chaos.servers = kServers;  // server-scoped events must not leak in
+    chaos.slots = kSlots;
+    chaos.seed = seed;
+    chaos.intensity = 6.0;
+    chaos.mean_duration_slots = 15;
+    config.faults = faults::generate_schedule(chaos);
+    const faults::FaultSchedule& schedule = config.faults;
+
+    // K edge servers stepped by hand, members dealt round-robin.
+    core::DvGreedyAllocator allocator;
+    system::SimRun run(config, 0, allocator, nullptr, nullptr);
+    std::vector<system::EdgeServer> edges;
+    edges.reserve(kServers);
+    for (std::size_t k = 0; k < kServers; ++k) {
+      edges.emplace_back(run.server_config, kUsers);
+      edges[k].budget = edges[k].server.server_bandwidth() / kServers;
+    }
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      edges[u % kServers].members.push_back(u);
+    }
+    for (std::size_t t = 0; t < kSlots; ++t) {
+      system::step_routers(run.net, schedule, t);
+      for (system::EdgeServer& edge : edges) {
+        system::step_server(run, edge, allocator, t);
+        for (std::size_t u : edge.members) {
+          const std::size_t router = run.net.router_of[u];
+          const faults::UserFaults& flags = run.user_faults[u];
+          ASSERT_EQ(flags.disconnected, schedule.user_disconnected(u, t))
+              << "user " << u << " slot " << t;
+          ASSERT_EQ(flags.pose_blackout, schedule.pose_blackout(u, t))
+              << "user " << u << " slot " << t;
+          ASSERT_EQ(flags.ack_stalled, schedule.ack_stalled(u, t))
+              << "user " << u << " slot " << t;
+          ASSERT_EQ(flags.any, schedule.any_fault_for_user(u, router, t))
+              << "user " << u << " slot " << t;
+          seen_disconnected += flags.disconnected;
+          seen_blackout += flags.pose_blackout;
+          seen_stalled += flags.ack_stalled;
+          seen_any_other += flags.any && !flags.disconnected &&
+                            !flags.pose_blackout && !flags.ack_stalled;
+        }
+      }
+      const std::vector<double>& granted =
+          system::serve_routers(run, static_cast<std::int64_t>(t));
+      for (std::size_t u = 0; u < kUsers; ++u) {
+        system::serve_member(run, edges[u % kServers], u, t, granted[u]);
+      }
+    }
+  }
+  // Every flag was raised somewhere, so dropping any one of them fails.
+  EXPECT_GT(seen_disconnected, 0u);
+  EXPECT_GT(seen_blackout, 0u);
+  EXPECT_GT(seen_stalled, 0u);
+  EXPECT_GT(seen_any_other, 0u)
+      << "no router outage or cache flush reached a member";
 }
 
 TEST(FleetBudget, PoliciesSplitTheBackhaul) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/util/rng.h"
 
@@ -416,6 +420,86 @@ TEST(Messages, InPlaceDecodeReplacesStaleTiles) {
   recycled.tiles = {vid(1), vid(2), vid(3), vid(6), vid(7)};
   decode(wire, recycled);
   EXPECT_EQ(recycled, message);
+}
+
+// The slot engine hands pose uploads and ACKs to the server by value,
+// so these pin the codec at the sizes and values the side channel
+// carries: an ACK as long as a full client buffer, and poses whose
+// doubles must cross the wire bit for bit, whatever they hold.
+
+TEST(Messages, AcksAtTheClientBufferThresholdRoundTrip) {
+  constexpr std::size_t kBufferThreshold = 600;  // ClientConfig default
+  std::vector<content::VideoId> tiles;
+  for (std::size_t k = 0; k < kBufferThreshold; ++k) {
+    const int n = static_cast<int>(k);
+    tiles.push_back(content::pack_video_id(
+        {{n % 200, n / 200}, n % content::kTilesPerFrame,
+         1 + n % content::kNumQualityLevels}));
+  }
+  DeliveryAck delivery;
+  delivery.user = 14;
+  delivery.slot = 1999;
+  delivery.tiles = tiles;
+  ReleaseAck release;
+  release.user = 14;
+  release.slot = 1999;
+  release.tiles = tiles;
+
+  Buffer wire;
+  encode(delivery, wire);
+  DeliveryAck delivery_back;
+  delivery_back.tiles = {vid(1)};  // recycled, overwritten in place
+  decode(wire, delivery_back);
+  EXPECT_EQ(delivery_back, delivery);
+  EXPECT_EQ(wire.size(), encode(delivery).size());
+
+  encode(release, wire);
+  ReleaseAck release_back;
+  decode(wire, release_back);
+  EXPECT_EQ(release_back, release);
+  ASSERT_EQ(release_back.tiles.size(), kBufferThreshold);
+}
+
+TEST(Messages, PoseUpdateCarriesEveryDoubleBitForBit) {
+  const std::array<std::uint64_t, 12> specials = {
+      0x0000000000000000ull,  // +0
+      0x8000000000000000ull,  // -0
+      0x7FF0000000000000ull,  // +inf
+      0xFFF0000000000000ull,  // -inf
+      0x0000000000000001ull,  // smallest subnormal
+      0x800FFFFFFFFFFFFFull,  // largest negative subnormal
+      0x0008000000000000ull,  // a mid-range subnormal
+      0x7FF8000000000000ull,  // quiet NaN
+      0x7FF8DEADBEEF0123ull,  // quiet NaN with a payload
+      0xFFFC000000000042ull,  // negative quiet NaN with a payload
+      0x7FF0000000000001ull,  // signalling NaN, lowest payload
+      0x7FF4000000C0FFEEull,  // signalling NaN with a payload
+  };
+  // Every special value visits every one of the six fields.
+  for (std::size_t shift = 0; shift < specials.size(); ++shift) {
+    std::array<std::uint64_t, 6> bits{};
+    for (std::size_t f = 0; f < bits.size(); ++f) {
+      bits[f] = specials[(shift + f) % specials.size()];
+    }
+    PoseUpdate message;
+    message.user = std::numeric_limits<std::uint32_t>::max();
+    message.slot = std::numeric_limits<std::uint64_t>::max() - shift;
+    message.pose.x = std::bit_cast<double>(bits[0]);
+    message.pose.y = std::bit_cast<double>(bits[1]);
+    message.pose.z = std::bit_cast<double>(bits[2]);
+    message.pose.yaw = std::bit_cast<double>(bits[3]);
+    message.pose.pitch = std::bit_cast<double>(bits[4]);
+    message.pose.roll = std::bit_cast<double>(bits[5]);
+
+    const PoseUpdate back = decode_pose_update(encode(message));
+    EXPECT_EQ(back.user, message.user);
+    EXPECT_EQ(back.slot, message.slot);
+    const std::array<double, 6> got = back.pose.as_array();
+    for (std::size_t f = 0; f < bits.size(); ++f) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[f]), bits[f])
+          << "shift " << shift << " field " << f;
+    }
+  }
 }
 
 TEST(Messages, HostileTileCountRejectedAsTruncation) {

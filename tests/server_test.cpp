@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <vector>
+
+#include "src/content/equirect.h"
+#include "src/util/units.h"
 
 namespace cvr::system {
 namespace {
@@ -371,6 +376,189 @@ TEST(Server, OutOfRangeUserThrows) {
   Server server(small_config(), 2);
   EXPECT_THROW(server.predict_pose(5), std::out_of_range);
   EXPECT_THROW(server.on_bandwidth_sample(5, 10.0), std::out_of_range);
+}
+
+
+// ---- The per-user predicted view (pose, cell, content entry) is
+// computed once and reused until one of its inputs changes. The
+// reference below recomputes everything from first principles, with no
+// memo: its own predictor fed the same poses, the staleness rule of the
+// last build, and a separate content db for the rates and tile sizes.
+
+/// One user's prediction inputs, as the server should see them.
+struct ReferenceUser {
+  motion::LinearMotionPredictor predictor;
+  bool has_pose = false;
+  motion::Pose last_pose;
+  std::size_t last_pose_slot = 0;
+  bool stale = false;  ///< As of the last build that covered the user.
+
+  explicit ReferenceUser(const ServerConfig& config)
+      : predictor(config.predictor) {}
+
+  void observe(std::size_t t, const motion::Pose& pose) {
+    predictor.observe(t, pose);
+    last_pose = pose;
+    has_pose = true;
+    last_pose_slot = t;
+  }
+  motion::Pose predicted() const {
+    if (!has_pose) return motion::Pose{};
+    return stale ? last_pose : predictor.predict(2);
+  }
+};
+
+class ServerPredictedView : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kUsers = 2;
+
+  ServerPredictedView() : server_(config_, kUsers), db_(config_.content) {
+    for (std::size_t u = 0; u < kUsers; ++u) refs_.emplace_back(config_);
+  }
+
+  content::GridCell cell_of(const motion::Pose& pose) const {
+    content::GridCell cell = content::cell_for_position(pose.x, pose.y);
+    cell.gx = std::clamp(cell.gx, 0, config_.content.grid_width - 1);
+    cell.gy = std::clamp(cell.gy, 0, config_.content.grid_height - 1);
+    return cell;
+  }
+
+  void pose(std::size_t u, std::size_t t, const motion::Pose& p) {
+    server_.on_pose(u, t, p);
+    refs_[u].observe(t, p);
+  }
+
+  /// Builds slot t over every user and checks each lane's rates.
+  void build(std::size_t t) {
+    for (ReferenceUser& ref : refs_) {
+      const std::size_t age =
+          ref.has_pose ? t - std::min(t, ref.last_pose_slot) : t;
+      ref.stale = age > config_.pose_staleness_slots;
+    }
+    const std::vector<std::size_t> members = {0, 1};
+    server_.build_problem_for(t, members, problem_);
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      const content::CrfRateFunction f =
+          db_.frame_rate_function(cell_of(refs_[u].predicted()));
+      for (core::QualityLevel q = 1; q <= core::kNumQualityLevels; ++q) {
+        ASSERT_EQ(problem_.rate_of(u, q), f.rate(q))
+            << "user " << u << " level " << q << " at slot " << t;
+      }
+    }
+  }
+
+  /// Checks every reader of the view against the reference.
+  void check(const char* step) {
+    SCOPED_TRACE(step);
+    double mandatory = 0.0;
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      const motion::Pose expected = refs_[u].predicted();
+      ASSERT_EQ(server_.predict_pose(u), expected) << "user " << u;
+      const content::GridCell cell = cell_of(expected);
+      mandatory += db_.frame_rate_function(cell).rate(1);
+
+      const core::QualityLevel level = 1 + static_cast<int>(u) * 3;
+      server_.make_request(u, level, request_);
+      int tiles[content::kTilesPerFrame];
+      const int count = content::tiles_for_view(config_.fov, expected, tiles);
+      std::vector<content::VideoId> ids;
+      double megabits = 0.0;
+      for (int i = 0; i < count; ++i) {
+        const content::TileKey key{cell, tiles[i], level};
+        ids.push_back(content::pack_video_id(key));
+        megabits += db_.tile_size_megabits(key);
+      }
+      ASSERT_EQ(request_.full_set, ids) << "user " << u;
+      ASSERT_EQ(request_.tiles, ids) << "user " << u;  // nothing ACKed
+      ASSERT_EQ(request_.demand_mbps, cvr::megabits_to_slot_rate(megabits))
+          << "user " << u;
+    }
+    ASSERT_EQ(server_.mandatory_load({0, 1}), mandatory);
+  }
+
+  /// A walk that crosses a 5 cm cell every few slots while turning.
+  static motion::Pose walk(std::size_t t, double lane) {
+    motion::Pose p;
+    p.x = 1.0 + 0.023 * static_cast<double>(t);
+    p.y = lane + 0.011 * static_cast<double>(t);
+    p.yaw = motion::wrap_degrees(7.0 * static_cast<double>(t));
+    p.pitch = 5.0;
+    return p;
+  }
+
+  ServerConfig config_;
+  Server server_;
+  content::ContentDb db_;
+  std::vector<ReferenceUser> refs_;
+  core::SlotProblem problem_;
+  TileRequest request_;
+};
+
+TEST_F(ServerPredictedView, TracksEveryInputOfThePrediction) {
+  check("before any pose");
+  build(1);
+  check("first build, no pose");
+
+  // Healthy walk: the view computed by each build (and the checks)
+  // must be dropped by the next pose.
+  std::size_t t = 1;
+  for (; t < 30; ++t) {
+    pose(0, t - 1, walk(t - 1, 2.0));
+    pose(1, t - 1, walk(t - 1, 3.0));
+    ASSERT_NO_FATAL_FAILURE(check("after on_pose"));
+    ASSERT_NO_FATAL_FAILURE(build(t + 1));
+    ASSERT_NO_FATAL_FAILURE(check("after build"));
+  }
+
+  // Pose blackout on user 0 until pose_stale flips: the prediction
+  // switches from extrapolation to the last pose at the flip build.
+  ASSERT_FALSE(refs_[0].stale);
+  const std::size_t blackout_end = t + config_.pose_staleness_slots + 4;
+  for (; t < blackout_end; ++t) {
+    pose(1, t - 1, walk(t - 1, 3.0));
+    ASSERT_NO_FATAL_FAILURE(build(t + 1));
+    ASSERT_NO_FATAL_FAILURE(check("during blackout"));
+  }
+  ASSERT_TRUE(refs_[0].stale);
+  ASSERT_TRUE(server_.in_safe_mode(0));
+
+  // Recovery: the fresh pose is read while the user is still stale
+  // (the last pose itself), then the next build flips back to
+  // extrapolation.
+  for (std::size_t k = 0; k < 4; ++k, ++t) {
+    pose(0, t - 1, walk(t - 1, 2.0));
+    pose(1, t - 1, walk(t - 1, 3.0));
+    ASSERT_NO_FATAL_FAILURE(check("recovering, before build"));
+    ASSERT_NO_FATAL_FAILURE(build(t + 1));
+    ASSERT_NO_FATAL_FAILURE(check("recovering, after build"));
+  }
+  ASSERT_FALSE(refs_[0].stale);
+
+  // Handoff: user 0 takes over state exported from another server that
+  // saw a different walk.
+  Server source(config_, kUsers);
+  for (std::size_t s = 0; s < 10; ++s) {
+    source.on_pose(0, t - 10 + s, walk(s, 5.0));
+  }
+  const proto::UserHandoff frame = source.export_handoff(0, t);
+  server_.import_handoff(0, frame, t);
+  refs_[0] = ReferenceUser(config_);
+  refs_[0].observe(frame.pose_slot, frame.pose);
+  refs_[0].stale = frame.pose_stale;
+  ASSERT_NO_FATAL_FAILURE(check("after import_handoff"));
+
+  // A crash wipes user 1.
+  server_.reset_user(1);
+  refs_[1] = ReferenceUser(config_);
+  ASSERT_NO_FATAL_FAILURE(check("after reset_user"));
+
+  for (std::size_t k = 0; k < 6; ++k, ++t) {
+    ASSERT_NO_FATAL_FAILURE(build(t + 1));
+    ASSERT_NO_FATAL_FAILURE(check("after handoff, build"));
+    pose(0, t, walk(t, 2.0));
+    pose(1, t, walk(t, 3.0));
+    ASSERT_NO_FATAL_FAILURE(check("after handoff, on_pose"));
+  }
 }
 
 }  // namespace
