@@ -106,7 +106,7 @@ double TilePricer::megabits(VideoId id) {
   if (!is_valid_level(key.level)) {
     throw std::out_of_range("ContentDb: bad quality level");
   }
-  if (content_ == nullptr || !(key.cell == cell_)) {
+  if (!(key.cell == cell_)) {
     content_ = &db_->cell_content(key.cell);
     cell_ = key.cell;
   }

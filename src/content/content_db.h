@@ -106,15 +106,15 @@ class ContentDb {
 
 /// Prices a sequence of tiles with one cell_content() lookup per run of
 /// consecutive same-cell ids — a frame's tiles share their cell, so a
-/// request costs one hash lookup instead of one per tile. megabits(id)
-/// is bit-identical to db.tile_size_megabits(unpack_video_id(id)) and
+/// request costs one hash lookup instead of one per tile, and none when
+/// its cell is the one the pricer was primed with. megabits(id) is
+/// bit-identical to db.tile_size_megabits(unpack_video_id(id)) and
 /// throws as it does. Holds a pointer into the db's memo, whose entries
 /// never move; the pricer must not outlive the db.
 class TilePricer {
  public:
-  explicit TilePricer(const ContentDb& db) : db_(&db) {}
   /// A pricer primed with `cell`, whose memo entry `content` must be
-  /// db.cell_content(cell): ids of that cell then price with no lookup.
+  /// db.cell_content(cell).
   TilePricer(const ContentDb& db, const GridCell& cell,
              const CellContent& content)
       : db_(&db), cell_(cell), content_(&content) {}
@@ -123,8 +123,8 @@ class TilePricer {
 
  private:
   const ContentDb* db_;
-  GridCell cell_{};
-  const CellContent* content_ = nullptr;
+  GridCell cell_;
+  const CellContent* content_;
 };
 
 }  // namespace cvr::content

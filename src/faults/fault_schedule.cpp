@@ -146,7 +146,6 @@ bool FaultSchedule::any_fault_for_user(std::size_t user, std::size_t router,
 UserFaults FaultSchedule::user_faults(std::size_t user, std::size_t router,
                                       std::size_t slot) const {
   UserFaults flags;
-  if (events_.empty()) return flags;
   flags.disconnected =
       any_active(row(FaultType::kUserDisconnect, user), slot);
   flags.pose_blackout = any_active(row(FaultType::kPoseBlackout, user), slot);

@@ -99,8 +99,6 @@ struct UserFaults {
   bool pose_blackout = false;  ///< pose_blackout
   bool ack_stalled = false;    ///< ack_stalled
   bool any = false;            ///< any_fault_for_user
-
-  friend bool operator==(const UserFaults&, const UserFaults&) = default;
 };
 
 class FaultSchedule {

@@ -305,7 +305,6 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
     serve_absent_user(run, u, t, level, delta_estimate, bandwidth_estimate);
     return;
   }
-  const bool ack_stalled = flags.ack_stalled;
   const std::size_t router = run.net.router_of[u];
   Server& server = edge.server;
   UserWorld& world = run.worlds[u];
@@ -457,7 +456,7 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
   // is the negative-feedback loop that makes the delta-aware
   // allocator robust to network degradation (Fig. 8) while
   // delta-oblivious baselines keep overcommitting.
-  if (!ack_stalled) {
+  if (!flags.ack_stalled) {
     server.on_coverage_outcome(u, viewed);
     // Loss-free base channel for the loss-aware decomposition:
     // prediction covered AND the frame displayed on time.
@@ -497,7 +496,7 @@ void serve_member(SimRun& run, EdgeServer& edge, std::size_t u, std::size_t t,
        world.release_channel.receive(t, scratch.release_received)) {
     server.on_release_acks(u, ack.tiles);
   }
-  if (!ack_stalled) {
+  if (!flags.ack_stalled) {
     if (request.demand_mbps > 1e-9) {
       server.on_delay_sample(
           u, request.demand_mbps,
